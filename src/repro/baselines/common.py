@@ -23,7 +23,6 @@ from repro.baselines.optimizer import minimize_cobyla
 from repro.circuits.circuit import QuantumCircuit
 from repro.engine import AnsatzSpec, ExecutionEngine
 from repro.engine.registry import BackendSpec
-from repro.linalg.bitvec import int_to_bits
 from repro.metrics.arg import approximation_ratio_gap
 from repro.pipeline import compile_ansatz
 from repro.problems.base import ConstrainedBinaryProblem
@@ -174,10 +173,10 @@ class VariationalBaseline(abc.ABC):
 
     def penalty_expectation(self, distribution: Dict[int, float]) -> float:
         """Expected penalty energy — the training loss and the ARG input."""
-        n = self.problem.num_variables
+        penalty_of = self.problem.key_penalty_value
+        penalty = self.encoding.penalty
         return sum(
-            probability
-            * self.problem.penalty_value(int_to_bits(key, n), self.encoding.penalty)
+            probability * penalty_of(key, penalty)
             for key, probability in distribution.items()
         )
 
@@ -202,11 +201,9 @@ class VariationalBaseline(abc.ABC):
             )
             final = self.distribution(best)
         expectation = self.penalty_expectation(final)
-        n = self.problem.num_variables
+        entry = self.problem.key_entry
         rate = sum(
-            probability
-            for key, probability in final.items()
-            if self.problem.is_feasible(int_to_bits(key, n))
+            probability for key, probability in final.items() if entry(key)[1] == 0
         )
         return BaselineResult(
             algorithm=self.algorithm,

@@ -4,9 +4,13 @@ Between segments, every measured basis state is checked against the
 constraints ``C x = b``; infeasible states (which can only appear through
 hardware noise — the noise-free algorithm never leaves the feasible space)
 are removed and the remaining distribution is renormalised before it seeds
-the next segment (Figure 8).  The check is one integer matrix-vector
-product per distinct state, which is why the paper measures its cost at
-~0.05 ms per iteration.
+the next segment (Figure 8).  The paper sizes the check at one integer
+matrix-vector product per distinct state (~0.05 ms per iteration).  Here
+it reads the problem's key table
+(:meth:`~repro.problems.base.ConstrainedBinaryProblem.key_entry`): the
+product runs once per distinct state over the whole solve, the first
+time that state is seen, and every later segment and optimizer
+evaluation pays a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -14,23 +18,20 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-import numpy as np
-
 from repro.exceptions import NoFeasibleStateError
-from repro.linalg.bitvec import int_to_bits
+from repro.problems.base import ConstrainedBinaryProblem
 
 
 def purify_counts(
     counts: Dict[int, int],
-    constraint_matrix: np.ndarray,
-    bound: np.ndarray,
+    problem: ConstrainedBinaryProblem,
 ) -> Tuple[Dict[int, int], float]:
     """Remove infeasible outcomes from measured counts.
 
     Args:
         counts: ``{basis index: shots}``.
-        constraint_matrix: ``C``.
-        bound: ``b``.
+        problem: the instance whose constraints ``C x = b`` decide
+            feasibility.
 
     Returns:
         ``(purified counts, in-constraints rate)`` where the rate is the
@@ -41,17 +42,11 @@ def purify_counts(
             failure mode the paper observes past ~2% amplitude damping
             (Section 5.5), which terminates optimization early.
     """
-    matrix = np.asarray(constraint_matrix, dtype=np.int64)
-    target = np.asarray(bound, dtype=np.int64)
-    n = matrix.shape[1]
     total = sum(counts.values())
     if total == 0:
         raise NoFeasibleStateError("no shots to purify")
-    purified: Dict[int, int] = {}
-    for key, value in counts.items():
-        bits = int_to_bits(key, n).astype(np.int64)
-        if np.array_equal(matrix @ bits, target):
-            purified[key] = value
+    entry = problem.key_entry
+    purified = {key: value for key, value in counts.items() if entry(key)[1] == 0}
     kept = sum(purified.values())
     if kept == 0:
         raise NoFeasibleStateError(
@@ -63,21 +58,18 @@ def purify_counts(
 
 def purify_probabilities(
     probabilities: Dict[int, float],
-    constraint_matrix: np.ndarray,
-    bound: np.ndarray,
+    problem: ConstrainedBinaryProblem,
 ) -> Tuple[Dict[int, float], float]:
     """Probability-distribution variant of :func:`purify_counts`.
 
     Returns the renormalised feasible distribution and the feasible mass.
     """
-    matrix = np.asarray(constraint_matrix, dtype=np.int64)
-    target = np.asarray(bound, dtype=np.int64)
-    n = matrix.shape[1]
-    feasible: Dict[int, float] = {}
-    for key, probability in probabilities.items():
-        bits = int_to_bits(key, n).astype(np.int64)
-        if np.array_equal(matrix @ bits, target):
-            feasible[key] = probability
+    entry = problem.key_entry
+    feasible = {
+        key: probability
+        for key, probability in probabilities.items()
+        if entry(key)[1] == 0
+    }
     # fsum keeps the renormalisation stable when the feasible mass is many
     # tiny contributions (deep noisy chains can underflow a naive sum).
     mass = math.fsum(feasible.values())

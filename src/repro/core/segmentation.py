@@ -118,7 +118,9 @@ def allocate_shots(
     floors = np.floor(exact).astype(int)
     remainder = shots - int(floors.sum())
     fractional_order = np.argsort(-(exact - floors))
-    allocation = dict(zip(keys, floors))
+    # Plain ints: the counts travel into telemetry span attributes and
+    # job records, which must stay JSON-serialisable.
+    allocation = dict(zip(keys, floors.tolist()))
     for rank in range(remainder):
         allocation[keys[fractional_order[rank]]] += 1
     return {k: v for k, v in allocation.items() if v > 0}

@@ -46,7 +46,7 @@ from repro.engine import ExecutionEngine, TransitionChainSpec
 from repro.engine.registry import BackendSpec
 from repro import telemetry
 from repro.exceptions import NoFeasibleStateError, SolverError
-from repro.linalg.bitvec import bits_to_int, int_to_bits
+from repro.linalg.bitvec import int_to_bits
 from repro.metrics.arg import approximation_ratio_gap
 from repro.pipeline import CircuitArtifact, ExecutionStage, SolvePipeline
 from repro.pipeline.cache import ArtifactCache
@@ -390,27 +390,17 @@ class RasenganSolver:
         return self._executor.segment_shots(segment_index, base)
 
     # ------------------------------------------------------------------
-    def _feasible_mass(self, distribution: Dict[int, float]) -> float:
-        return self._executor._feasible_mass(distribution)
-
-    def _purify_or_keep(self, raw: Dict[int, float]) -> Dict[int, float]:
-        return self._executor._purify_or_keep(raw)
-
-    def _drop_tiny(self, distribution: Dict[int, float]) -> Dict[int, float]:
-        return self._executor._drop_tiny(distribution)
-
-    # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
     def _score(self, distribution: Dict[int, float]) -> float:
         """Expected minimization-oriented objective over feasible states."""
-        n = self.problem.num_variables
+        entry = self.problem.key_entry
         numerator = 0.0
         mass = 0.0
         for key, probability in distribution.items():
-            bits = int_to_bits(key, n)
-            if self.problem.is_feasible(bits):
-                numerator += probability * self.problem.value(bits)
+            value, violation = entry(key)
+            if violation == 0:
+                numerator += probability * value
                 mass += probability
         if mass <= 0:
             return _FAILURE_SCORE
@@ -490,7 +480,6 @@ class RasenganSolver:
     def _finalize(
         self, best_parameters: np.ndarray, history: List[float]
     ) -> RasenganResult:
-        n = self.problem.num_variables
         try:
             distribution, rate = self.execute(best_parameters)
             failed = False
@@ -499,20 +488,15 @@ class RasenganSolver:
 
         if failed:
             expectation = _FAILURE_SCORE
-            best_key = bits_to_int(self.initial_bits)
             best_bits = self.initial_bits
         else:
             expectation = self._score(distribution)
-            feasible_items = [
-                (key, probability)
-                for key, probability in distribution.items()
-                if self.problem.is_feasible(int_to_bits(key, n))
-            ]
+            entry = self.problem.key_entry
             best_key = min(
-                feasible_items,
-                key=lambda item: self.problem.value(int_to_bits(item[0], n)),
-            )[0]
-            best_bits = int_to_bits(best_key, n)
+                (key for key in distribution if entry(key)[1] == 0),
+                key=lambda key: entry(key)[0],
+            )
+            best_bits = int_to_bits(best_key, self.problem.num_variables)
 
         optimal = self.problem.optimal_value
         return RasenganResult(

@@ -83,9 +83,7 @@ def _effective_noisy_execute(
         for _ in range(8):  # a handful of scattered outcomes stand in for noise
             corrupted_key = int(rng.integers(0, 1 << min(n, 62)))
             corrupted[corrupted_key] = corrupted.get(corrupted_key, 0.0) + scatter / 8
-        distribution, _ = purify_probabilities(
-            corrupted, problem.constraint_matrix, problem.bound
-        )
+        distribution, _ = purify_probabilities(corrupted, problem)
         distribution = {k: p for k, p in distribution.items() if p > 1e-4}
         total = sum(distribution.values())
         distribution = {k: p / total for k, p in distribution.items()}

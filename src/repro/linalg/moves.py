@@ -145,12 +145,17 @@ def augment_moves_for_connectivity(
     expand_closure(moves, reached, n)
 
     candidates = candidate_combinations(rows, max_combination)
+    # Masks once per candidate, not once per (candidate, reached key)
+    # pair; candidates are nonzero, so move_partner_key's zero-move guard
+    # is not needed.
+    candidate_masks = [move_masks(vector) for vector in candidates]
     progress = True
     while progress:
         progress = False
-        for vector in candidates:
+        for vector, (mask_plus, mask_minus) in zip(candidates, candidate_masks):
             connects = any(
-                (partner := move_partner_key(key, vector, n)) is not None
+                (partner := partner_key_from_masks(key, mask_plus, mask_minus))
+                is not None
                 and partner not in reached
                 for key in reached
             )

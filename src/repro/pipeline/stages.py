@@ -38,7 +38,7 @@ from repro.core.purification import purify_probabilities
 from repro.core.segmentation import plan_segments, plan_segments_by_cost
 from repro.core.simplify import simplify_basis
 from repro.core.transition import transition_chain_circuit
-from repro.linalg.bitvec import bits_to_int, int_to_bits
+from repro.linalg.bitvec import bits_to_int
 from repro.linalg.moves import augment_moves_for_connectivity
 from repro.pipeline.artifacts import (
     Artifact,
@@ -341,19 +341,17 @@ class ExecutionStage:
         return max(1, int(round(base * growth**segment_index)))
 
     def _feasible_mass(self, distribution: Dict[int, float]) -> float:
+        entry = self.problem.key_entry
         mass = 0.0
-        n = self.problem.num_variables
         for key, probability in distribution.items():
-            if self.problem.is_feasible(int_to_bits(key, n)):
+            if entry(key)[1] == 0:
                 mass += probability
         return mass
 
     def _purify_or_keep(self, raw: Dict[int, float]) -> Dict[int, float]:
         if not self.config.enable_purify:
             return raw
-        purified, _ = purify_probabilities(
-            raw, self.problem.constraint_matrix, self.problem.bound
-        )
+        purified, _ = purify_probabilities(raw, self.problem)
         return purified
 
     def _drop_tiny(self, distribution: Dict[int, float]) -> Dict[int, float]:

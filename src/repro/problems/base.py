@@ -172,6 +172,36 @@ class ConstrainedBinaryProblem(abc.ABC):
         return float(np.mean([self.value(x) for x in solutions]))
 
     # ------------------------------------------------------------------
+    # Key table
+    # ------------------------------------------------------------------
+    @functools.cached_property
+    def _key_table(self) -> Dict[int, Tuple[float, int]]:
+        """``{basis-state key: (value, L1 violation)}``, filled lazily."""
+        return {}
+
+    def key_entry(self, key: int) -> Tuple[float, int]:
+        """``(value, L1 violation)`` of the basis state encoded as ``key``.
+
+        The state is feasible exactly when the violation is 0.  Entries
+        are computed once per distinct key (through :meth:`value` and
+        :meth:`constraint_violation`) and then served from a per-instance
+        table, so the evaluation loops — purification, feasible mass,
+        scoring, penalty expectations — pay one integer matrix-vector
+        product per distinct state, not one per key per evaluation.
+        """
+        entry = self._key_table.get(key)
+        if entry is None:
+            bits = int_to_bits(key, self.num_variables)
+            entry = (self.value(bits), self.constraint_violation(bits))
+            self._key_table[key] = entry
+        return entry
+
+    def key_penalty_value(self, key: int, penalty: float) -> float:
+        """:meth:`penalty_value` of the basis state ``key`` (table-served)."""
+        value, violation = self.key_entry(key)
+        return value + penalty * float(violation)
+
+    # ------------------------------------------------------------------
     # Distribution scoring helpers
     # ------------------------------------------------------------------
     def expectation_from_counts(
@@ -194,11 +224,10 @@ class ConstrainedBinaryProblem(abc.ABC):
             raise ProblemError("empty counts")
         acc = 0.0
         for key, count in counts.items():
-            bits = int_to_bits(key, self.num_variables)
             if penalty is not None:
-                score = self.penalty_value(bits, penalty)
+                score = self.key_penalty_value(key, penalty)
             else:
-                score = self.value(bits)
+                score = self.key_entry(key)[0]
             acc += score * count
         return acc / total
 
@@ -208,9 +237,7 @@ class ConstrainedBinaryProblem(abc.ABC):
         if total == 0:
             return 0.0
         feasible = sum(
-            count
-            for key, count in counts.items()
-            if self.is_feasible(int_to_bits(key, self.num_variables))
+            count for key, count in counts.items() if self.key_entry(key)[1] == 0
         )
         return feasible / total
 

@@ -487,3 +487,72 @@ def check_arg_vs_bruteforce(ctx: CheckContext) -> CheckOutput:
         payload_b,
         details={"instances": list(instances)},
     )
+
+
+# ----------------------------------------------------------------------
+# 7. Problem key table vs direct per-key evaluation
+# ----------------------------------------------------------------------
+#: One or two instances per family, every one small enough to sweep all
+#: ``2**n`` keys (S1, the smallest set-cover instance, has 11 variables).
+_KEY_TABLE_INSTANCES = ("F1", "F2", "K1", "K2", "J1", "J2", "G1", "S1")
+
+
+@register_check(
+    "key-table-vs-direct",
+    "ConstrainedBinaryProblem.key_entry / key_penalty_value vs direct "
+    "is_feasible / value / penalty_value on int_to_bits, over every key",
+    tolerance=0.0,
+)
+def check_key_table_vs_direct(ctx: CheckContext) -> CheckOutput:
+    """The evaluation path's key table must equal direct evaluation.
+
+    Every per-key loop of the evaluation path (purification, feasible
+    mass, scoring, baseline penalty expectations) reads the memoised
+    table instead of evaluating the bit vector.  Path A evaluates every
+    key of a seeded instance directly; path B fills the table in a
+    shuffled key order, then reads every entry back (memo hits).
+    Feasibility, value and penalty value must agree bit for bit.
+    """
+    from repro.baselines.encoding import DEFAULT_PENALTY
+    from repro.linalg.bitvec import int_to_bits
+    from repro.problems.registry import make_benchmark
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    for benchmark_id in _KEY_TABLE_INSTANCES:
+        rng = ctx.rng(f"key-table-{benchmark_id}")
+        case = int(rng.integers(0, 400))
+        problem = make_benchmark(benchmark_id, case)
+        n = problem.num_variables
+        keys = range(1 << n)
+        bits = [int_to_bits(key, n) for key in keys]
+        payload_a[benchmark_id] = {
+            "case": case,
+            "feasible": [bool(problem.is_feasible(x)) for x in bits],
+            "value": [problem.value(x) for x in bits],
+            "penalty": [problem.penalty_value(x, DEFAULT_PENALTY) for x in bits],
+        }
+        for key in rng.permutation(1 << n):
+            problem.key_entry(int(key))
+        table = [problem.key_entry(key) for key in keys]
+        payload_b[benchmark_id] = {
+            "case": case,
+            "feasible": [violation == 0 for _, violation in table],
+            "value": [value for value, _ in table],
+            "penalty": [
+                problem.key_penalty_value(key, DEFAULT_PENALTY) for key in keys
+            ],
+        }
+    return CheckOutput(
+        "direct",
+        payload_a,
+        "key-table",
+        payload_b,
+        details={
+            "instances": {
+                benchmark_id: payload_a[benchmark_id]["case"]
+                for benchmark_id in _KEY_TABLE_INSTANCES
+            },
+            "penalty": DEFAULT_PENALTY,
+        },
+    )

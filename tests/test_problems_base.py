@@ -116,3 +116,44 @@ class TestDistributionHelpers:
 
     def test_in_constraints_rate_empty(self):
         assert _LinearToy().in_constraints_rate({}) == 0.0
+
+
+class TestKeyTable:
+    def test_repeated_key_is_served_from_the_table(self, monkeypatch):
+        toy = _LinearToy()
+        calls = {"is_feasible": 0, "value": 0, "constraint_violation": 0}
+        for name in calls:
+            original = getattr(_LinearToy, name)
+
+            def counted(self, x, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(_LinearToy, name, counted)
+        key = bits_to_int([1, 0, 0])
+        first = toy.key_entry(key)
+        after_first = dict(calls)
+        for _ in range(3):
+            assert toy.key_entry(key) == first
+            toy.key_penalty_value(key, 10.0)
+        toy.expectation_from_counts({key: 2})
+        toy.in_constraints_rate({key: 2})
+        assert calls == after_first
+        assert calls["is_feasible"] == 0
+        assert calls["value"] == 1
+
+    def test_feasible_and_infeasible_keys(self):
+        toy = _LinearToy()
+        assert toy.key_entry(bits_to_int([0, 1, 1])) == (6.0, 0)
+        # x = (1,1,0) violates x_0 + x_1 = 1 by 1.
+        assert toy.key_entry(bits_to_int([1, 1, 0])) == (7.0, 1)
+        assert toy.key_penalty_value(bits_to_int([1, 1, 0]), 10.0) == 17.0
+        assert toy.key_entry(bits_to_int([0, 0, 1]))[1] == 1
+
+    def test_table_does_not_change_the_fingerprint(self, small_flp):
+        from repro.problems.io import problem_fingerprint
+
+        before = problem_fingerprint(small_flp)
+        for key in range(16):
+            small_flp.key_entry(key)
+        assert problem_fingerprint(small_flp) == before

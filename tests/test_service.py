@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -442,3 +443,23 @@ class TestServiceRealSolve:
 
 def solver_config_overrides():
     return dict(QUICK)
+
+
+class TestGateLevelJobRecord:
+    def test_traced_ideal_backend_record_is_json_serialisable(self):
+        # Gate-level segments allocate shots per input state; the counts
+        # land in flight-recorder span attributes, so they must be plain
+        # ints for the job record (the HTTP response body) to serialise.
+        with telemetry.session():
+            service = SolverService(workers=1).start()
+            job = service.submit(
+                benchmark="F1",
+                backend="ideal",
+                config={"seed": 7, "shots": 64, "max_iterations": 3},
+            )
+            assert job.wait(120.0)
+            service.close()
+        assert job.state is JobState.DONE
+        record = job.to_dict()
+        assert record["trace"]
+        assert json.loads(json.dumps(record))["state"] == "done"

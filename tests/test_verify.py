@@ -127,6 +127,7 @@ class TestRegistry:
             "result-store-reload",
             "result-json-roundtrip",
             "arg-vs-bruteforce",
+            "key-table-vs-direct",
         } <= names
 
     def test_unknown_name_rejected(self):
@@ -268,7 +269,11 @@ class TestMutationDetection:
     def test_unmutated_fast_checks_match(self):
         # The cheap subset of the real checks on a clean tree.
         checks = checks_for(
-            names=["result-store-reload", "pipeline-cold-vs-cached"]
+            names=[
+                "result-store-reload",
+                "pipeline-cold-vs-cached",
+                "key-table-vs-direct",
+            ]
         )
         report = run_checks(checks, seed=5)
         assert report["summary"]["mismatch"] == 0

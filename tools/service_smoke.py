@@ -10,6 +10,8 @@ and checks that
   ``python -m repro solve`` subprocess with the same spec;
 * the dedup layer coalesced or cache-served at least one of the
   duplicates (read back from ``/metrics``);
+* a gate-level (``"backend": "ideal"``) job is accepted with ``201`` and
+  finishes ``done`` — its traced job record must serialise;
 * SIGINT drains the server and it exits 0.
 
 Run from the repo root::
@@ -29,6 +31,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -37,6 +41,9 @@ SPEC = {"benchmark": "F1", "config": {"seed": 7, "shots": 256,
                                       "max_iterations": 10}}
 OTHER = {"benchmark": "K1", "config": {"seed": 3, "shots": 256,
                                        "max_iterations": 10}}
+GATE_LEVEL = {"benchmark": "F1", "backend": "ideal", "wait": True,
+              "wait_timeout": 120.0,
+              "config": {"seed": 5, "shots": 128, "max_iterations": 5}}
 
 
 def fail(message: str) -> None:
@@ -82,6 +89,28 @@ def direct_solve() -> dict:
         env=child_env(),
     )
     return json.loads(output)
+
+
+def gate_level_job(url: str) -> None:
+    """POST one ``backend: ideal`` job; it must answer 201 and end done."""
+    request = urllib.request.Request(
+        url + "/jobs",
+        data=json.dumps(GATE_LEVEL).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=180.0) as response:
+            status = response.status
+            record = json.loads(response.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        fail(f"gate-level job answered {exc.code}: "
+             f"{exc.read().decode('utf-8', 'replace')[:200]}")
+    if status != 201:
+        fail(f"gate-level job answered {status}, expected 201")
+    if record["state"] != "done":
+        fail(f"gate-level job ended {record['state']}: {record.get('error')}")
+    print(f"gate-level job done (arg={record['result']['arg']:.6f})")
 
 
 def main() -> int:
@@ -145,6 +174,8 @@ def main() -> int:
             fail(f"expected dedup activity, got coalesced={coalesced} "
                  f"store.hits={cached}")
         print(f"dedup active: coalesced={coalesced} store.hits={cached}")
+
+        gate_level_job(url)
     finally:
         process.send_signal(signal.SIGINT)
         code = process.wait(timeout=30.0)
