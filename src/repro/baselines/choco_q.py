@@ -106,12 +106,9 @@ class ChocoQ(VariationalBaseline):
 
     def simulate(self, parameters: np.ndarray) -> np.ndarray:
         """Dense statevector (embedding the subspace amplitudes)."""
-        amplitudes = self._simulate_subspace(parameters)
-        keys = self._subspace[0]
-        n = self.problem.num_variables
-        state = np.zeros(1 << n, dtype=np.complex128)
-        for key, amplitude in zip(keys, amplitudes):
-            state[key] = amplitude
+        amplitudes = self._simulate_subspace(self._parameter_vector(parameters))
+        state = np.zeros(1 << self.problem.num_variables, dtype=np.complex128)
+        state[self._subspace[0]] = amplitudes
         return state
 
     def _simulate_subspace(self, parameters: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from repro.baselines.optimizer import minimize_cobyla
 from repro.circuits.circuit import QuantumCircuit
 from repro.engine import AnsatzSpec, ExecutionEngine
 from repro.engine.registry import BackendSpec
+from repro.exceptions import SolverError
 from repro.metrics.arg import approximation_ratio_gap
 from repro.pipeline import compile_ansatz
 from repro.problems.base import ConstrainedBinaryProblem
@@ -116,7 +117,11 @@ class VariationalBaseline(abc.ABC):
 
     @abc.abstractmethod
     def simulate(self, parameters: np.ndarray) -> np.ndarray:
-        """Dense statevector of the ansatz at ``parameters``."""
+        """Dense statevector of the ansatz at ``parameters``.
+
+        Implementations validate ``parameters`` with
+        :meth:`_parameter_vector` (a wrong count raises ``SolverError``).
+        """
 
     @abc.abstractmethod
     def build_circuit(self, parameters: np.ndarray) -> QuantumCircuit:
@@ -165,10 +170,24 @@ class VariationalBaseline(abc.ABC):
         """Gate-level ansatz at ``parameters`` via the compiled cache."""
         return self.engine.ansatz_circuit(self.ansatz_spec(), parameters)
 
+    def _parameter_vector(self, parameters: np.ndarray) -> np.ndarray:
+        """``parameters`` as a float vector of exactly ``num_parameters``.
+
+        Raises:
+            SolverError: when the count differs (extra entries would be
+                ignored silently, missing ones fail deep in numpy).
+        """
+        vector = np.asarray(parameters, dtype=float).reshape(-1)
+        if vector.size != self.num_parameters:
+            raise SolverError(
+                f"expected {self.num_parameters} parameters, got {vector.size}"
+            )
+        return vector
+
     def distribution(self, parameters: np.ndarray) -> Dict[int, float]:
         """Output distribution at ``parameters`` (engine-routed)."""
         return self.engine.sample_ansatz(
-            self.ansatz_spec(), parameters, self.shots
+            self.ansatz_spec(), self._parameter_vector(parameters), self.shots
         )
 
     def penalty_expectation(self, distribution: Dict[int, float]) -> float:

@@ -8,19 +8,24 @@ constraints "as much as possible", Section 5.1).
 Parameter count is ``2 n (L + 1)`` — an initial rotation layer plus one
 per entangling block — which is why Table 2 shows HEA using an order of
 magnitude more parameters than the Hamiltonian-based methods.
+
+The dense training path applies the ansatz a layer at a time, not a gate
+at a time: each rotation layer is one fused ``RZ @ RY`` stack applied by
+:func:`~repro.simulators.statevector.apply_product_layer` (two
+half-register Kronecker products), and each CX chain is one gather
+through :func:`~repro.simulators.statevector.cx_ladder_permutation`.
+Probabilities match the gate-level :meth:`HardwareEfficientAnsatz.build_circuit`
+to rounding (the ``dense-ansatz-vs-circuit`` verify check).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.baselines.common import VariationalBaseline
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import single_qubit_matrix
 from repro.problems.base import ConstrainedBinaryProblem
-from repro.simulators.statevector import apply_controlled, apply_single_qubit
+from repro.simulators.statevector import apply_product_layer, cx_ladder_permutation
 
 
 class HardwareEfficientAnsatz(VariationalBaseline):
@@ -55,27 +60,34 @@ class HardwareEfficientAnsatz(VariationalBaseline):
         return self._rng.uniform(-0.1, 0.1, size=self.num_parameters)
 
     # ------------------------------------------------------------------
-    def _rotation_layer(
-        self, state: np.ndarray, angles: np.ndarray, n: int
-    ) -> np.ndarray:
-        for qubit in range(n):
-            ry = single_qubit_matrix("ry", (float(angles[2 * qubit]),))
-            rz = single_qubit_matrix("rz", (float(angles[2 * qubit + 1]),))
-            apply_single_qubit(state, ry, qubit, n)
-            apply_single_qubit(state, rz, qubit, n)
-        return state
+    @staticmethod
+    def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
+        """Per-qubit fused ``RZ(phi) @ RY(theta)`` stack, shape ``(n, 2, 2)``.
+
+        ``angles`` interleaves ``(theta_q, phi_q)`` per qubit, the order
+        :meth:`build_circuit` emits RY then RZ.
+        """
+        half_theta = 0.5 * angles[0::2]
+        cos, sin = np.cos(half_theta), np.sin(half_theta)
+        phase = np.exp(-0.5j * angles[1::2])
+        matrices = np.empty((half_theta.size, 2, 2), dtype=np.complex128)
+        matrices[:, 0, 0] = phase * cos
+        matrices[:, 0, 1] = -phase * sin
+        matrices[:, 1, 0] = phase.conj() * sin
+        matrices[:, 1, 1] = phase.conj() * cos
+        return matrices
 
     def simulate(self, parameters: np.ndarray) -> np.ndarray:
         n = self.problem.num_variables
+        params = self._parameter_vector(parameters).reshape(self.layers + 1, 2 * n)
+        ladder = cx_ladder_permutation(n)
         state = np.zeros(1 << n, dtype=np.complex128)
         state[0] = 1.0
-        params = np.asarray(parameters, dtype=float).reshape(self.layers + 1, 2 * n)
-        cx = single_qubit_matrix("x")
-        state = self._rotation_layer(state, params[0], n)
+        state = apply_product_layer(state, self._rotation_matrices(params[0]), n)
         for layer in range(self.layers):
-            for qubit in range(n - 1):
-                apply_controlled(state, cx, (qubit,), (1,), qubit + 1, n)
-            state = self._rotation_layer(state, params[layer + 1], n)
+            state = apply_product_layer(
+                state[ladder], self._rotation_matrices(params[layer + 1]), n
+            )
         return state
 
     def build_circuit(self, parameters: np.ndarray) -> QuantumCircuit:

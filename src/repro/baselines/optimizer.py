@@ -24,18 +24,25 @@ def minimize_cobyla(
     max_iterations: int = 300,
     rhobeg: float = 0.5,
 ) -> np.ndarray:
-    """COBYLA minimisation; returns the best parameter vector found."""
+    """COBYLA minimisation; returns the best parameter vector found.
+
+    The evaluation budget is raised to COBYLA's minimum of ``x0.size + 2``
+    (the initial simplex) when ``max_iterations`` is below it.  SciPy's
+    COBYLA applies the same floor itself, with a ``UserWarning``; passing
+    the floored value gives the same result without the warning.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.size == 0:
         return x0
+    budget = max(max_iterations, x0.size + 2)
     with telemetry.span(
-        "optimizer.cobyla", dimensions=int(x0.size), budget=max_iterations
+        "optimizer.cobyla", dimensions=int(x0.size), budget=budget
     ):
         outcome = sciopt.minimize(
             loss,
             x0,
             method="COBYLA",
-            options={"maxiter": max_iterations, "rhobeg": rhobeg},
+            options={"maxiter": budget, "rhobeg": rhobeg},
         )
     return np.asarray(outcome.x, dtype=float)
 

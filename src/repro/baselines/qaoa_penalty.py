@@ -51,6 +51,8 @@ class PenaltyQAOA(VariationalBaseline):
         self.layers = layers
         self.parameter_init = parameter_init
         self.frozen: Dict[int, int] = {}
+        # (sorted frozen items, initial state) — see _initial_state.
+        self._initial_cache: Optional[Tuple[tuple, np.ndarray]] = None
         if frozen_qubits > 0:
             self._freeze_hotspots(frozen_qubits)
         self._active = [
@@ -122,19 +124,27 @@ class PenaltyQAOA(VariationalBaseline):
     # Simulation
     # ------------------------------------------------------------------
     def _initial_state(self) -> np.ndarray:
-        """|+> on active qubits; frozen qubits pinned to their value."""
-        n = self.problem.num_variables
-        state = np.zeros(1 << n, dtype=np.complex128)
-        state[0] = 1.0
-        hadamard = single_qubit_matrix("h")
-        x_gate = single_qubit_matrix("x")
-        for qubit in range(n):
-            if qubit in self.frozen:
-                if self.frozen[qubit]:
-                    apply_single_qubit(state, x_gate, qubit, n)
-            else:
-                apply_single_qubit(state, hadamard, qubit, n)
-        return state
+        """|+> on active qubits; frozen qubits pinned to their value.
+
+        Returns a fresh copy of a state built once per frozen-qubit
+        assignment (``frozen`` may change after construction, as
+        :meth:`ansatz_spec` allows).
+        """
+        frozen = tuple(sorted(self.frozen.items()))
+        if self._initial_cache is None or self._initial_cache[0] != frozen:
+            n = self.problem.num_variables
+            state = np.zeros(1 << n, dtype=np.complex128)
+            state[0] = 1.0
+            hadamard = single_qubit_matrix("h")
+            x_gate = single_qubit_matrix("x")
+            for qubit in range(n):
+                if qubit in self.frozen:
+                    if self.frozen[qubit]:
+                        apply_single_qubit(state, x_gate, qubit, n)
+                else:
+                    apply_single_qubit(state, hadamard, qubit, n)
+            self._initial_cache = (frozen, state)
+        return self._initial_cache[1].copy()
 
     def _evolve(self, parameters: np.ndarray, layers: Optional[int] = None) -> np.ndarray:
         n = self.problem.num_variables
@@ -152,7 +162,7 @@ class PenaltyQAOA(VariationalBaseline):
         return state
 
     def simulate(self, parameters: np.ndarray) -> np.ndarray:
-        return self._evolve(parameters)
+        return self._evolve(self._parameter_vector(parameters))
 
     # ------------------------------------------------------------------
     def build_circuit(self, parameters: np.ndarray) -> QuantumCircuit:

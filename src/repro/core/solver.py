@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as sciopt
 
+from repro.baselines.optimizer import minimize_cobyla
 from repro.core.prune import PruneResult
 from repro.engine import ExecutionEngine, TransitionChainSpec
 from repro.engine.registry import BackendSpec
@@ -232,16 +232,13 @@ def _run_restart(task) -> Tuple[np.ndarray, List[float]]:
         return score
 
     with telemetry.span("restart", index=index):
-        outcome = sciopt.minimize(
+        best = minimize_cobyla(
             objective,
             start,
-            method="COBYLA",
-            options={
-                "maxiter": solver.config.max_iterations,
-                "rhobeg": solver.config.rhobeg,
-            },
+            max_iterations=solver.config.max_iterations,
+            rhobeg=solver.config.rhobeg,
         )
-    return np.asarray(outcome.x, dtype=float), history
+    return best, history
 
 
 class RasenganSolver:

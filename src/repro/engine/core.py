@@ -362,11 +362,8 @@ class ExecutionEngine:
             circuit = self.ansatz_circuit(spec, parameters)
             probabilities = StatevectorSimulator().probabilities(circuit)
         if shots is None:
-            return {
-                int(key): float(p)
-                for key, p in enumerate(probabilities)
-                if p > 1e-12
-            }
+            support = np.flatnonzero(probabilities > 1e-12)
+            return dict(zip(support.tolist(), probabilities[support].tolist()))
         telemetry.add("shots.total", shots)
         counts = counts_from_probabilities(probabilities, shots, self._rng)
         return {key: count / shots for key, count in counts.items()}

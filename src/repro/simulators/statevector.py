@@ -5,10 +5,18 @@ integer encoding of the computational basis (see :mod:`repro.linalg.bitvec`).
 Single-qubit and (multi-)controlled gates are applied with index arithmetic
 rather than matrix products, so a gate costs ``O(2**n)`` regardless of its
 control count.
+
+Two whole-layer kernels serve dense ansatz paths that apply the same
+structure to every qubit: :func:`apply_product_layer` applies one 2x2
+matrix per qubit as two half-register Kronecker products (one matrix
+product on each side of the state reshaped to a matrix), and
+:func:`cx_ladder_permutation` turns the CX(0,1)...CX(n-2,n-1) ladder into
+one cached index permutation.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,6 +124,63 @@ def apply_single_qubit(
     updated = np.einsum("ij,ajb->aib", matrix, reshaped)
     state[:] = updated.reshape(-1)
     return state
+
+
+def _kron_stack(matrices: np.ndarray) -> np.ndarray:
+    """Kronecker product ``matrices[-1] (x) ... (x) matrices[0]``.
+
+    Built by broadcasting one factor at a time, so the last matrix acts on
+    the most significant index bit (little-endian, as in the state).
+    """
+    product = np.ones((1, 1), dtype=np.complex128)
+    for matrix in matrices:
+        rows, cols = product.shape
+        product = (matrix[:, None, :, None] * product[None, :, None, :]).reshape(
+            2 * rows, 2 * cols
+        )
+    return product
+
+
+def apply_product_layer(
+    state: np.ndarray, matrices: np.ndarray, n: int
+) -> np.ndarray:
+    """Apply ``matrices[q]`` (shape ``(n, 2, 2)``) on every qubit ``q`` at once.
+
+    The state, viewed as a ``2**(n - n//2) x 2**(n//2)`` matrix ``S`` (rows
+    indexed by the high qubits), becomes ``K_high @ S @ K_low.T`` where each
+    ``K`` is the Kronecker product of its half's 2x2 matrices.  Returns a
+    new array; ``state`` is not modified.
+    """
+    matrices = np.asarray(matrices, dtype=np.complex128)
+    if matrices.shape != (n, 2, 2):
+        raise SimulationError(
+            f"product layer needs matrices of shape ({n}, 2, 2), "
+            f"got {matrices.shape}"
+        )
+    low = n // 2
+    grid = state.reshape(1 << (n - low), 1 << low)
+    k_low = _kron_stack(matrices[:low])
+    k_high = _kron_stack(matrices[low:])
+    return (k_high @ grid @ k_low.T).reshape(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def cx_ladder_permutation(n: int) -> np.ndarray:
+    """Index map of the CX(0,1), CX(1,2), ..., CX(n-2,n-1) ladder.
+
+    ``state[cx_ladder_permutation(n)]`` equals applying the ladder gate
+    by gate.  Each CX is a basis permutation, so the whole ladder is one
+    gather: pure data movement, exact to the bit.  Cached per ``n``; the
+    returned array is read-only.
+    """
+    # CX(q, q+1) is the involution g_q(i) = i ^ (bit q of i) << (q+1), and
+    # gathering through g_0 then g_1 ... reads index g_0(g_1(...(i))), so
+    # the maps compose from the last gate inwards.
+    perm = np.arange(1 << n, dtype=np.int64)
+    for qubit in reversed(range(n - 1)):
+        perm = perm ^ (((perm >> qubit) & 1) << (qubit + 1))
+    perm.setflags(write=False)
+    return perm
 
 
 def apply_controlled(

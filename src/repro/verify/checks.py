@@ -556,3 +556,69 @@ def check_key_table_vs_direct(ctx: CheckContext) -> CheckOutput:
             "penalty": DEFAULT_PENALTY,
         },
     )
+
+
+# ----------------------------------------------------------------------
+# 8. Baseline dense fast path vs gate-level ansatz circuit
+# ----------------------------------------------------------------------
+#: Seeded instances for the baseline ansatz comparison (n = 6 to 11).
+_DENSE_ANSATZ_INSTANCES = ("F1", "K1", "J1", "G1", "F2", "K2", "J2", "S1")
+
+
+@register_check(
+    "dense-ansatz-vs-circuit",
+    "baseline dense fast path (simulate) vs the gate-level ansatz "
+    "circuit run through the statevector simulator, in probability",
+    tolerance=1e-10,
+)
+def check_dense_ansatz_vs_circuit(ctx: CheckContext) -> CheckOutput:
+    """Every baseline's training path must equal its own circuit.
+
+    Path A is the dense ``simulate`` the baselines train on: whole-layer
+    kernels for HEA (default 5 layers), a diagonal phase plus per-qubit
+    mixer for P-QAOA (0 and 1 frozen qubits).  Path B runs
+    ``build_circuit`` at the same seeded parameters through
+    :class:`~repro.simulators.statevector.StatevectorSimulator`.  P-QAOA's
+    two paths differ by a global phase, so the payloads are output
+    probabilities.  Choco-Q is not covered: its circuit Trotterises the
+    mixer, so it matches the exact subspace path only approximately.
+    """
+    from repro.baselines.hea import HardwareEfficientAnsatz
+    from repro.baselines.qaoa_penalty import PenaltyQAOA
+    from repro.problems.registry import make_benchmark
+    from repro.simulators.statevector import StatevectorSimulator
+
+    simulator = StatevectorSimulator()
+    dense: Dict[str, np.ndarray] = {}
+    circuit: Dict[str, np.ndarray] = {}
+    instances: Dict[str, int] = {}
+    for benchmark_id in _DENSE_ANSATZ_INSTANCES:
+        rng = ctx.rng(f"dense-ansatz-{benchmark_id}")
+        case = int(rng.integers(0, 400))
+        instances[benchmark_id] = case
+        problem = make_benchmark(benchmark_id, case)
+        baselines = {
+            "hea": HardwareEfficientAnsatz(problem, shots=None),
+            "pqaoa": PenaltyQAOA(problem, shots=None),
+            "pqaoa-frozen1": PenaltyQAOA(problem, frozen_qubits=1, shots=None),
+        }
+        for label, baseline in baselines.items():
+            if label == "hea":
+                parameters = rng.uniform(-np.pi, np.pi, baseline.num_parameters)
+            else:
+                parameters = np.empty(baseline.num_parameters)
+                parameters[0::2] = rng.uniform(0.0, 0.2, baseline.layers)
+                parameters[1::2] = rng.uniform(0.0, np.pi, baseline.layers)
+            name = f"{benchmark_id}/{label}"
+            dense[name] = np.abs(baseline.simulate(parameters)) ** 2
+            circuit[name] = simulator.probabilities(
+                baseline.build_circuit(parameters)
+            )
+            baseline.engine.close()
+    return CheckOutput(
+        "dense-simulate",
+        dense,
+        "gate-circuit",
+        circuit,
+        details={"instances": instances},
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ChocoQ, HardwareEfficientAnsatz, PenaltyQAOA
+from repro.exceptions import SolverError
 from repro.linalg.bitvec import int_to_bits
 from repro.problems import make_benchmark
 from repro.simulators.statevector import simulate_statevector
@@ -26,6 +27,19 @@ class TestHEA:
         circuit = hea.build_circuit(params)
         gate = simulate_statevector(circuit)
         np.testing.assert_allclose(fast, gate, atol=1e-9)
+
+    @pytest.mark.parametrize("benchmark_id", ["F2", "S1"])
+    def test_simulate_matches_circuit_at_default_depth(self, benchmark_id):
+        # n = 10 and n = 11 (odd), five layers, full-range angles.
+        problem = make_benchmark(benchmark_id, 3)
+        hea = HardwareEfficientAnsatz(problem, shots=None)
+        params = np.random.default_rng(7).uniform(-np.pi, np.pi, hea.num_parameters)
+        fast = hea.simulate(params)
+        gate = simulate_statevector(hea.build_circuit(params))
+        np.testing.assert_allclose(fast, gate, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.abs(fast) ** 2, np.abs(gate) ** 2, rtol=0, atol=1e-14
+        )
 
     def test_zero_parameters_give_all_zero_state(self, f1):
         hea = HardwareEfficientAnsatz(f1, layers=1, shots=None)
@@ -53,6 +67,28 @@ class TestPenaltyQAOA:
         # Equal up to global phase (constant QUBO term dropped in circuit).
         overlap = abs(np.vdot(fast, gate))
         assert overlap == pytest.approx(1.0, abs=1e-8)
+
+    def test_cached_initial_state_survives_evaluations(self, f1):
+        qaoa = PenaltyQAOA(f1, layers=2, shots=None, parameter_init="zero")
+        pristine = qaoa._initial_state()
+        pristine[:] = 0.0  # the caller owns its copy
+        params = np.array([0.03, 0.4, 0.05, 0.2])
+        first = qaoa.simulate(params)
+        second = qaoa.simulate(params)
+        assert np.array_equal(first, second)
+        fresh = qaoa._initial_state()
+        np.testing.assert_allclose(
+            np.abs(fresh) ** 2, np.full(fresh.size, 1.0 / fresh.size), atol=1e-15
+        )
+
+    def test_cached_initial_state_rebuilt_after_frozen_change(self, f1):
+        qaoa = PenaltyQAOA(f1, layers=1, shots=None, parameter_init="zero")
+        assert np.count_nonzero(qaoa._initial_state()) == 1 << f1.num_variables
+        qaoa.frozen = {0: 1}
+        state = qaoa._initial_state()
+        keys = np.arange(state.size)
+        assert not np.any(state[(keys & 1) == 0])
+        assert np.count_nonzero(state) == state.size // 2
 
     def test_zero_params_give_uniform_distribution(self, f1):
         qaoa = PenaltyQAOA(f1, layers=1, shots=None, parameter_init="zero")
@@ -159,3 +195,17 @@ class TestChocoQTrotter:
             overlaps.append(abs(np.vdot(exact, gate)))
         assert overlaps == sorted(overlaps)
         assert overlaps[-1] > 0.999
+
+
+class TestParameterCountValidation:
+    @pytest.mark.parametrize("cls", [HardwareEfficientAnsatz, PenaltyQAOA, ChocoQ])
+    @pytest.mark.parametrize("delta", [-1, 3])
+    def test_wrong_length_raises_solver_error(self, f1, cls, delta):
+        baseline = cls(f1, shots=None)
+        expected = baseline.num_parameters
+        wrong = np.zeros(expected + delta)
+        message = f"expected {expected} parameters, got {expected + delta}"
+        with pytest.raises(SolverError, match=message):
+            baseline.distribution(wrong)
+        with pytest.raises(SolverError, match=message):
+            baseline.simulate(wrong)

@@ -1,5 +1,7 @@
 """Extension baselines: Grover adaptive search and annealing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.baselines import (
     QuantumAnnealer,
     SimulatedAnnealing,
 )
-from repro.baselines.optimizer import minimize_spsa
+from repro.baselines.optimizer import minimize_cobyla, minimize_spsa
 from repro.problems import make_benchmark
 
 
@@ -87,6 +89,21 @@ class TestQuantumAnnealer:
         assert rasengan.in_constraints_rate == 1.0
         assert annealer.in_constraints_rate < 1.0
         assert rasengan.arg <= annealer.arg + 1e-9
+
+
+class TestCobylaOptimizer:
+    def test_budget_below_simplex_floor_matches_explicit_floor(self):
+        target = np.linspace(-1.0, 1.0, 6)
+
+        def loss(x):
+            return float(((x - target) ** 2).sum())
+
+        x0 = np.zeros(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = minimize_cobyla(loss, x0, max_iterations=3)
+            floor = minimize_cobyla(loss, x0, max_iterations=x0.size + 2)
+        assert np.array_equal(low, floor)
 
 
 class TestSpsaOptimizer:

@@ -299,6 +299,24 @@ class TestEngineBasics:
             )
         assert get_defaults().workers == previous.workers
 
+    def test_exact_distribution_matches_per_entry_comprehension(self):
+        rng = np.random.default_rng(3)
+        state = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state[rng.choice(64, 20, replace=False)] = 0.0
+        state[5] = 1e-7  # probability 1e-14, below the support cut
+        state /= np.linalg.norm(state)
+        spec = AnsatzSpec(
+            "exact-extraction", 0, build=None, statevector=lambda _: state
+        )
+        probabilities = np.abs(state) ** 2
+        expected = {
+            int(key): float(p) for key, p in enumerate(probabilities) if p > 1e-12
+        }
+        got = ExecutionEngine().sample_ansatz(spec, [], None)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(key) is int for key in got)
+        assert 5 not in got
+
     def test_pickled_engine_is_serial(self):
         import pickle
 

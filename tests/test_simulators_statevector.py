@@ -9,7 +9,25 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
-from repro.simulators.statevector import StatevectorSimulator, simulate_statevector
+from repro.circuits.gates import single_qubit_matrix
+from repro.simulators.statevector import (
+    StatevectorSimulator,
+    apply_controlled,
+    apply_product_layer,
+    apply_single_qubit,
+    cx_ladder_permutation,
+    simulate_statevector,
+)
+
+
+def _random_state(rng, n):
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return state / np.linalg.norm(state)
+
+
+def _random_unitaries(rng, n):
+    raw = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return np.stack([np.linalg.qr(matrix)[0] for matrix in raw])
 
 
 class TestBasics:
@@ -143,3 +161,38 @@ class TestControlledPatterns:
         qc.mcx([0, 1], 2, ctrl_state=(1, 0))
         state = simulate_statevector(qc)
         assert abs(state[0b101]) == pytest.approx(1.0)
+
+
+class TestWholeLayerKernels:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_product_layer_matches_sequential_gates(self, n):
+        rng = np.random.default_rng(n)
+        state = _random_state(rng, n)
+        matrices = _random_unitaries(rng, n)
+        expected = state.copy()
+        for qubit in range(n):
+            apply_single_qubit(expected, matrices[qubit], qubit, n)
+        original = state.copy()
+        result = apply_product_layer(state, matrices, n)
+        np.testing.assert_allclose(result, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(state, original)
+
+    def test_product_layer_rejects_wrong_matrix_count(self):
+        with pytest.raises(SimulationError):
+            apply_product_layer(np.ones(8, dtype=complex), np.zeros((2, 2, 2)), 3)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cx_ladder_permutation_matches_gate_chain(self, n):
+        state = _random_state(np.random.default_rng(100 + n), n)
+        expected = state.copy()
+        cx = single_qubit_matrix("x")
+        for qubit in range(n - 1):
+            apply_controlled(expected, cx, (qubit,), (1,), qubit + 1, n)
+        permuted = state[cx_ladder_permutation(n)]
+        assert np.array_equal(np.abs(permuted) ** 2, np.abs(expected) ** 2)
+        assert np.array_equal(permuted, expected)
+
+    def test_cx_ladder_permutation_cached_and_read_only(self):
+        perm = cx_ladder_permutation(6)
+        assert cx_ladder_permutation(6) is perm
+        assert not perm.flags.writeable

@@ -128,6 +128,7 @@ class TestRegistry:
             "result-json-roundtrip",
             "arg-vs-bruteforce",
             "key-table-vs-direct",
+            "dense-ansatz-vs-circuit",
         } <= names
 
     def test_unknown_name_rejected(self):
@@ -273,6 +274,7 @@ class TestMutationDetection:
                 "result-store-reload",
                 "pipeline-cold-vs-cached",
                 "key-table-vs-direct",
+                "dense-ansatz-vs-circuit",
             ]
         )
         report = run_checks(checks, seed=5)
