@@ -21,7 +21,7 @@ import numpy as np
 from repro.baselines.encoding import DEFAULT_PENALTY, PenaltyEncoding
 from repro.baselines.optimizer import minimize_cobyla
 from repro.circuits.circuit import QuantumCircuit
-from repro.engine import AnsatzSpec, ExecutionEngine
+from repro.engine import AnsatzSpec, ExecutionEngine, check_shots
 from repro.engine.registry import BackendSpec
 from repro.exceptions import SolverError
 from repro.metrics.arg import approximation_ratio_gap
@@ -86,6 +86,7 @@ class VariationalBaseline(abc.ABC):
         engine: Optional[ExecutionEngine] = None,
         engine_workers: Optional[int] = None,
     ) -> None:
+        check_shots(shots, f"{type(self).__name__} shots")
         self.problem = problem
         self.encoding = PenaltyEncoding(problem, penalty)
         self.shots = shots

@@ -34,6 +34,7 @@ multi-start restarts.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.baselines.optimizer import minimize_cobyla
 from repro.core.prune import PruneResult
-from repro.engine import ExecutionEngine, TransitionChainSpec
+from repro.engine import ExecutionEngine, TransitionChainSpec, check_shots
 from repro.engine.registry import BackendSpec
 from repro import telemetry
 from repro.exceptions import NoFeasibleStateError, SolverError
@@ -156,6 +157,17 @@ class RasenganConfig:
     seed: Optional[int] = None
     min_seed_probability: float = 1e-4
     engine_workers: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_shots(self.shots, "RasenganConfig.shots")
+        rhobeg = self.rhobeg
+        real = isinstance(rhobeg, numbers.Real) and not isinstance(rhobeg, bool)
+        if not (real and math.isfinite(rhobeg) and rhobeg > 0):
+            # scipy would silently swap a zero radius for its default.
+            raise SolverError(
+                "RasenganConfig.rhobeg must be a finite positive number, "
+                f"got {rhobeg!r}"
+            )
 
 
 @dataclass
@@ -381,10 +393,6 @@ class RasenganSolver:
     ) -> List[Tuple[Dict[int, float], float]]:
         """Execute a batch of time vectors (engine-instrumented)."""
         return self.engine.run_batch(self.execute, batch, label="execute")
-
-    def _segment_shots(self, segment_index: int, base: int) -> int:
-        """Shots for one segment under the geometric growth schedule."""
-        return self._executor.segment_shots(segment_index, base)
 
     # ------------------------------------------------------------------
     # Training

@@ -14,6 +14,7 @@ from repro.engine.core import (
     EngineDefaults,
     ExecutionEngine,
     TransitionChainSpec,
+    check_shots,
     configure_defaults,
     ensure_engine,
     get_defaults,
@@ -36,6 +37,7 @@ __all__ = [
     "ExecutionEngine",
     "TransitionChainSpec",
     "available_backends",
+    "check_shots",
     "configure_defaults",
     "ensure_engine",
     "get_defaults",

@@ -29,6 +29,7 @@ parallel run's totals match a serial run (see ``docs/OBSERVABILITY.md``).
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -40,8 +41,10 @@ from repro.core.segmentation import allocate_shots, merge_counts
 from repro.core.transition import transition_chain_circuit
 from repro.engine.cache import CircuitCache, CompiledCircuit
 from repro.engine.registry import BackendSpec, resolve_backend
+from repro.exceptions import SolverError
 from repro.circuits.circuit import QuantumCircuit
 from repro.linalg.bitvec import int_to_bits
+from repro.linalg.moves import move_masks
 from repro.simulators.sampling import counts_from_probabilities
 from repro.simulators.seeding import SeedBank, SeedLike
 from repro.simulators.sparsestate import SparseState
@@ -93,6 +96,23 @@ def get_defaults() -> EngineDefaults:
     return replace(_DEFAULTS)
 
 
+def check_shots(shots, field: str) -> None:
+    """Refuse shots that are neither ``None`` (exact) nor a positive int.
+
+    Raises:
+        SolverError: naming ``field``; zero or negative shots would
+            otherwise score an empty sample (or fail deep inside
+            sampling) instead of pointing at the configuration.
+    """
+    if shots is None:
+        return
+    integral = isinstance(shots, numbers.Integral) and not isinstance(shots, bool)
+    if not integral or shots <= 0:
+        raise SolverError(
+            f"{field} must be None (exact) or a positive integer, got {shots!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Work descriptions
 # ----------------------------------------------------------------------
@@ -102,6 +122,9 @@ class TransitionChainSpec:
     Holds the basis, the pruned schedule, and the register width; a
     segment (a slice of schedule positions) maps to a cache key and a
     circuit builder whose parameters are the segment's evolution times.
+    ``masks[position]`` is the :func:`~repro.linalg.moves.move_masks`
+    pair of the move scheduled at ``position``, computed once here so
+    the exact engine never re-derives it per evaluation.
     """
 
     def __init__(
@@ -110,6 +133,9 @@ class TransitionChainSpec:
         self.basis = np.asarray(basis)
         self.schedule = tuple(int(index) for index in schedule)
         self.num_qubits = int(num_qubits)
+        self.masks = tuple(
+            move_masks(self.basis[index]) for index in self.schedule
+        )
         self._basis_token = (self.basis.shape, self.basis.tobytes())
 
     def segment_key(self, positions: Sequence[int]):
@@ -296,11 +322,11 @@ class ExecutionEngine:
             "segment", index=index, engine="sparse", transitions=len(positions)
         ):
             state = SparseState.from_distribution(chain.num_qubits, distribution)
+            masks = chain.masks
             with telemetry.span("sparse.evolve") as evolve_span:
                 for position, time in zip(positions, times):
-                    state.apply_transition(
-                        chain.basis[chain.schedule[position]], time
-                    )
+                    mask_plus, mask_minus = masks[position]
+                    state.apply_move(mask_plus, mask_minus, time)
                 evolve_span.set(amplitudes=len(state.amplitudes))
             telemetry.add("circuits.executed")
             raw = state.probabilities()

@@ -311,10 +311,13 @@ class ExecutionStage:
             NoFeasibleStateError: when purification is enabled and a
                 segment output contains no feasible state.
         """
+        problem = self.problem
+        entry = problem.key_entry
+        purify = self.config.enable_purify
+        threshold = self.config.min_seed_probability
         distribution: Dict[int, float] = {bits_to_int(initial_bits): 1.0}
         rate = 1.0
         for index, segment in enumerate(plan):
-            times_slice = [times[position] for position in segment]
             shots = (
                 None
                 if base_shots is None
@@ -323,14 +326,27 @@ class ExecutionStage:
             raw = engine.run_segment(
                 chain,
                 segment,
-                times_slice,
+                [times[position] for position in segment],
                 distribution,
                 shots,
                 segment_index=index,
             )
-            rate = self._feasible_mass(raw)
-            distribution = self._purify_or_keep(raw)
-            distribution = self._drop_tiny(distribution)
+            # The raw in-constraints rate: feasible mass before purification.
+            rate = 0.0
+            for key, probability in raw.items():
+                if entry(key)[1] == 0:
+                    rate += probability
+            if purify:
+                distribution, _ = purify_probabilities(raw, problem)
+            else:
+                distribution = raw
+            # Drop states below the min_seed_probability floor (unless that
+            # would drop every state), then renormalise.
+            kept = {k: p for k, p in distribution.items() if p >= threshold}
+            if not kept:
+                kept = distribution
+            mass = sum(kept.values())
+            distribution = {k: p / mass for k, p in kept.items()}
         return distribution, rate
 
     def segment_shots(self, segment_index: int, base: int) -> int:
@@ -339,25 +355,3 @@ class ExecutionStage:
         if growth == 1.0:
             return base
         return max(1, int(round(base * growth**segment_index)))
-
-    def _feasible_mass(self, distribution: Dict[int, float]) -> float:
-        entry = self.problem.key_entry
-        mass = 0.0
-        for key, probability in distribution.items():
-            if entry(key)[1] == 0:
-                mass += probability
-        return mass
-
-    def _purify_or_keep(self, raw: Dict[int, float]) -> Dict[int, float]:
-        if not self.config.enable_purify:
-            return raw
-        purified, _ = purify_probabilities(raw, self.problem)
-        return purified
-
-    def _drop_tiny(self, distribution: Dict[int, float]) -> Dict[int, float]:
-        threshold = self.config.min_seed_probability
-        kept = {k: p for k, p in distribution.items() if p >= threshold}
-        if not kept:
-            kept = distribution
-        mass = sum(kept.values())
-        return {k: p / mass for k, p in kept.items()}

@@ -330,6 +330,10 @@ class SolverService:
             max_retries=int(max_retries),
             retry_backoff=float(retry_backoff),
         )
+        # Build the solver config here, not on a worker: an unknown field
+        # or an invalid value (e.g. ``shots=0``) is refused at submission
+        # instead of failing later or caching a bogus record.
+        spec.solver_config()
         job = Job(spec, fingerprint=job_fingerprint(spec))
         with self._jobs_lock:
             self._jobs[job.id] = job

@@ -7,6 +7,7 @@ into shot counts and model classical readout error.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping
 
 import numpy as np
@@ -28,7 +29,9 @@ def counts_from_probabilities(
         rng: random generator (callers own seeding for reproducibility).
 
     Returns:
-        ``{basis index: count}`` with only observed outcomes present.
+        ``{basis index: count}`` with only observed outcomes present, in
+        input order, with builtin ``int`` counts (mapping keys are
+        returned as given).
 
     Raises:
         SimulationError: when the clamped probability mass is zero,
@@ -40,25 +43,29 @@ def counts_from_probabilities(
         raise ValueError("shots must be non-negative")
     if shots == 0:
         return {}
-    if isinstance(probabilities, Mapping):
-        keys = np.fromiter(probabilities.keys(), dtype=np.int64)
-        probs = np.fromiter(probabilities.values(), dtype=np.float64)
+    # The sparse engine passes a plain dict on every segment: test for it
+    # before the slower ``Mapping`` ABC check.
+    if type(probabilities) is dict or isinstance(probabilities, Mapping):
+        keys = list(probabilities)
+        probs = np.fromiter(
+            probabilities.values(), dtype=np.float64, count=len(keys)
+        )
     else:
         probs = np.asarray(probabilities, dtype=np.float64)
-        keys = np.arange(probs.shape[0], dtype=np.int64)
+        keys = range(probs.shape[0])
     # Float cancellation (purification, Kraus renormalisation) can leave
     # tiny negative entries and a sum slightly off 1.0: clamp first, then
     # renormalise once over the clamped mass.
-    probs = probs.clip(min=0.0)
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    probs = np.maximum(probs, 0.0)
+    total = np.add.reduce(probs)
+    if not math.isfinite(total) or total <= 0.0:
         raise SimulationError(
             f"cannot sample from a distribution with total probability "
             f"mass {total!r} after clamping negatives to zero"
         )
     probs = probs / total
     draws = rng.multinomial(shots, probs)
-    return {int(key): int(count) for key, count in zip(keys, draws) if count}
+    return {key: count for key, count in zip(keys, draws.tolist()) if count}
 
 
 def apply_readout_error(

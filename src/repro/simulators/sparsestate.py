@@ -6,7 +6,8 @@ dictionary ``{basis index: amplitude}`` simulates them in time proportional
 to the number of occupied amplitudes — the same asymptotic benefit the
 original artifact gets from DDSim.
 
-The fast path is :meth:`SparseState.apply_transition`, which applies the
+The fast path is :meth:`SparseState.apply_move` (behind
+:meth:`SparseState.apply_transition`), which applies the
 transition-operator unitary ``exp(-i H(u) t)`` directly using the pairing
 structure proved in the paper (Equation 6): basis states pair up as
 ``|x> <-> |x+u>`` when both are binary, and unpaired states are fixed
@@ -62,10 +63,10 @@ class SparseState:
         measured probabilities — exactly the information the paper says is
         preserved across segments (Section 4.2).
         """
-        amplitudes = {
+        state = cls(num_qubits, {})
+        state.amplitudes = {
             key: complex(math.sqrt(p)) for key, p in probabilities.items() if p > 0
         }
-        state = cls(num_qubits, amplitudes)
         state.normalize()
         return state
 
@@ -257,31 +258,51 @@ class SparseState:
     def apply_transition(self, basis_vector: np.ndarray, time: float) -> None:
         """Apply ``exp(-i H(u) t)`` for a homogeneous basis vector ``u``.
 
-        Implements Equation 6 of the paper directly: for each occupied basis
-        state ``x``, if ``x + u`` is binary then the pair mixes with
-        ``cos(t)`` / ``-i sin(t)``; if neither ``x + u`` nor ``x - u`` is
-        binary the state is left untouched.
+        Validates ``u`` against the register width, then applies the move
+        through :meth:`apply_move` with the masks of :func:`move_masks`.
         """
         u = np.asarray(basis_vector, dtype=np.int64)
         if u.shape != (self.num_qubits,):
             raise SimulationError("basis vector length mismatch")
-        from repro.linalg.moves import move_masks, partner_key_from_masks
+        from repro.linalg.moves import move_masks
 
         mask_plus, mask_minus = move_masks(u)
+        self.apply_move(mask_plus, mask_minus, time)
+
+    def apply_move(self, mask_plus: int, mask_minus: int, time: float) -> None:
+        """Apply ``exp(-i H(u) t)`` for the move ``u`` given by its masks.
+
+        Implements Equation 6 of the paper directly: for each occupied basis
+        state ``x``, if ``x + u`` or ``x - u`` is binary then the pair mixes
+        with ``cos(t)`` / ``-i sin(t)``; otherwise the state is left
+        untouched.  ``mask_plus`` / ``mask_minus`` are the bitmasks of the
+        +1 / -1 entries of ``u`` (:func:`~repro.linalg.moves.move_masks`).
+        The partner test is the arithmetic of
+        :func:`~repro.linalg.moves.partner_key_from_masks`, inlined because
+        this loop runs once per transition of every segment of every
+        optimizer evaluation.
+        """
         cos = math.cos(time)
-        sin = math.sin(time)
+        i_sin = 1j * math.sin(time)
+        clear_plus = ~mask_plus
+        clear_minus = ~mask_minus
         updated: Dict[int, complex] = {}
-        for key, amp in self.amplitudes.items():
-            partner = (
-                partner_key_from_masks(key, mask_plus, mask_minus)
-                if (mask_plus or mask_minus)
-                else None
-            )
-            if partner is None:
-                updated[key] = updated.get(key, 0.0) + amp
-                continue
-            updated[key] = updated.get(key, 0.0) + cos * amp
-            updated[partner] = updated.get(partner, 0.0) - 1j * sin * amp
+        get = updated.get
+        if mask_plus or mask_minus:
+            for key, amp in self.amplitudes.items():
+                if (key & mask_plus) == 0 and (key & mask_minus) == mask_minus:
+                    partner = (key | mask_plus) & clear_minus
+                elif (key & mask_minus) == 0 and (key & mask_plus) == mask_plus:
+                    partner = (key | mask_minus) & clear_plus
+                else:
+                    updated[key] = get(key, 0.0) + amp
+                    continue
+                updated[key] = get(key, 0.0) + cos * amp
+                updated[partner] = get(partner, 0.0) - i_sin * amp
+        else:
+            # The zero move pairs nothing: every state is a fixed point.
+            for key, amp in self.amplitudes.items():
+                updated[key] = get(key, 0.0) + amp
         self.amplitudes = updated
         self.prune()
         if telemetry.enabled():

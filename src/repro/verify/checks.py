@@ -622,3 +622,158 @@ def check_dense_ansatz_vs_circuit(ctx: CheckContext) -> CheckOutput:
         circuit,
         details={"instances": instances},
     )
+
+
+# ----------------------------------------------------------------------
+# 9. Lean exact-sparse segment step vs the per-key reference loop
+# ----------------------------------------------------------------------
+#: ``(label, benchmark, config overrides)``; every case runs at seeded
+#: random times under the same engine seed on both paths.
+_SEGMENT_STEP_CASES = tuple(
+    (f"{benchmark_id}/{label}", benchmark_id, overrides)
+    for benchmark_id in ("F1", "K2", "J2", "G1", "S1", "K3")
+    for label, overrides in (
+        ("exact", {"shots": None}),
+        ("shots", {"shots": 1024}),
+    )
+) + (
+    ("K2/no-purify", "K2", {"shots": 1024, "enable_purify": False}),
+    (
+        "K3/multi-transition",
+        "K3",
+        {"shots": 1024, "transitions_per_segment": 3, "shots_growth": 1.5},
+    ),
+)
+
+
+def _reference_segment_loop(solver, times, rng) -> Tuple[Dict[int, float], float]:
+    """The exact-sparse segment loop as written before the lean step.
+
+    A literal copy: per-key partner lookup through
+    :func:`partner_key_from_masks` with the masks re-derived for every
+    transition, ``clip``/``sum``/``isfinite`` shot sampling, then separate
+    feasible-mass, purification and drop passes.  Kept here so the
+    optimised engine path always has an independent oracle.
+    """
+    from repro.exceptions import SimulationError
+    from repro.linalg.bitvec import bits_to_int
+    from repro.linalg.moves import move_masks, partner_key_from_masks
+    from repro.simulators.sparsestate import PRUNE_TOLERANCE
+
+    config, entry, chain = solver.config, solver.problem.key_entry, solver.chain
+    distribution = {bits_to_int(solver.initial_bits): 1.0}
+    rate = 1.0
+    for index, segment in enumerate(solver.plan):
+        amplitudes = {
+            k: complex(math.sqrt(p)) for k, p in distribution.items() if p > 0
+        }
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
+        amplitudes = {k: a / norm for k, a in amplitudes.items()}
+        for position in segment:
+            u = np.asarray(chain.basis[chain.schedule[position]], dtype=np.int64)
+            mask_plus, mask_minus = move_masks(u)
+            cos, sin = math.cos(times[position]), math.sin(times[position])
+            updated: Dict[int, complex] = {}
+            for key, amp in amplitudes.items():
+                partner = (
+                    partner_key_from_masks(key, mask_plus, mask_minus)
+                    if (mask_plus or mask_minus)
+                    else None
+                )
+                if partner is None:
+                    updated[key] = updated.get(key, 0.0) + amp
+                    continue
+                updated[key] = updated.get(key, 0.0) + cos * amp
+                updated[partner] = updated.get(partner, 0.0) - 1j * sin * amp
+            norm = math.sqrt(sum(abs(a) ** 2 for a in updated.values()))
+            amplitudes = {
+                k: a for k, a in updated.items() if abs(a) > PRUNE_TOLERANCE * norm
+            }
+        raw = {k: abs(a) ** 2 for k, a in amplitudes.items()}
+        if config.shots is not None:
+            shots = config.shots
+            if config.shots_growth != 1.0:
+                shots = max(1, int(round(shots * config.shots_growth**index)))
+            keys = np.fromiter(raw.keys(), dtype=np.int64)
+            probs = np.fromiter(raw.values(), dtype=np.float64).clip(min=0.0)
+            total = probs.sum()
+            if not np.isfinite(total) or total <= 0.0:
+                raise SimulationError(f"reference sampling mass {total!r}")
+            draws = rng.multinomial(shots, probs / total)
+            raw = {int(k): int(c) / shots for k, c in zip(keys, draws) if c}
+        rate = 0.0
+        for key, probability in raw.items():
+            if entry(key)[1] == 0:
+                rate += probability
+        distribution = raw
+        if config.enable_purify:
+            feasible = {k: p for k, p in raw.items() if entry(k)[1] == 0}
+            mass = math.fsum(feasible.values())
+            distribution = {k: p / mass for k, p in feasible.items()}
+        kept = {
+            k: p
+            for k, p in distribution.items()
+            if p >= config.min_seed_probability
+        }
+        if not kept:
+            kept = distribution
+        mass = sum(kept.values())
+        distribution = {k: p / mass for k, p in kept.items()}
+    return distribution, rate
+
+
+@register_check(
+    "segment-step-vs-reference",
+    "RasenganSolver.execute (cached masks, apply_move, lean sampling) vs "
+    "a literal per-key reference of the segment loop, in key order",
+    tolerance=0.0,
+)
+def check_segment_step_vs_reference(ctx: CheckContext) -> CheckOutput:
+    """The lean exact-sparse segment step must equal the per-key loop.
+
+    For each case, two solvers are compiled from the same seeded config,
+    so their engines draw from identical RNG streams.  Path A runs
+    :func:`_reference_segment_loop` on the first solver's chain and
+    engine generator; path B runs :meth:`RasenganSolver.execute` on the
+    second.  The final distributions are compared as ordered
+    ``(key, probability)`` lists, with the in-constraints rate, bit for
+    bit.
+    """
+    from repro.core.solver import RasenganConfig, RasenganSolver
+    from repro.pipeline.cache import ArtifactCache
+    from repro.problems.registry import make_benchmark
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    instances: Dict[str, int] = {}
+    for label, benchmark_id, overrides in _SEGMENT_STEP_CASES:
+        rng = ctx.rng(f"segment-step-{label}")
+        case = int(rng.integers(0, 400))
+        instances[label] = case
+        problem = make_benchmark(benchmark_id, case)
+        config = RasenganConfig(
+            seed=ctx.derived_seed(f"segment-step-seed-{label}"), **overrides
+        )
+        cache = ArtifactCache()
+        reference = RasenganSolver(problem, config=config, artifact_cache=cache)
+        solver = RasenganSolver(problem, config=config, artifact_cache=cache)
+        times = rng.uniform(0.0, math.pi, solver.num_parameters)
+        distribution, rate = _reference_segment_loop(
+            reference, times, reference.engine.rng
+        )
+        payload_a[label] = {
+            "distribution": [[k, p] for k, p in distribution.items()],
+            "rate": rate,
+        }
+        distribution, rate = solver.execute(times)
+        payload_b[label] = {
+            "distribution": [[k, p] for k, p in distribution.items()],
+            "rate": rate,
+        }
+    return CheckOutput(
+        "per-key-reference",
+        payload_a,
+        "engine-execute",
+        payload_b,
+        details={"instances": instances},
+    )

@@ -209,3 +209,16 @@ class TestParameterCountValidation:
             baseline.distribution(wrong)
         with pytest.raises(SolverError, match=message):
             baseline.simulate(wrong)
+
+
+class TestShotValidation:
+    @pytest.mark.parametrize("cls", [HardwareEfficientAnsatz, PenaltyQAOA, ChocoQ])
+    @pytest.mark.parametrize("shots", [0, -8, 16.0, True, "1024"])
+    def test_invalid_shots_rejected(self, f1, cls, shots):
+        # shots=0 used to score an empty sample as expectation 0 / ARG 1.
+        with pytest.raises(SolverError, match="shots"):
+            cls(f1, shots=shots)
+
+    @pytest.mark.parametrize("shots", [None, 1, np.int64(64)])
+    def test_valid_shots_accepted(self, f1, shots):
+        assert HardwareEfficientAnsatz(f1, shots=shots).shots == shots

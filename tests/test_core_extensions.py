@@ -12,6 +12,7 @@ from repro.core.diagnostics import (
 )
 from repro.core.solver import RasenganConfig, RasenganSolver
 from repro.core.warmstart import hill_climb_initial_solution
+from repro.pipeline import ExecutionStage
 from repro.problems import make_benchmark
 
 
@@ -67,17 +68,17 @@ class TestAdaptiveShots:
     def test_growth_schedule(self):
         problem = make_benchmark("F1", 0)
         config = RasenganConfig(shots=100, shots_growth=2.0, max_iterations=1)
-        solver = RasenganSolver(problem, config=config)
-        assert solver._segment_shots(0, 100) == 100
-        assert solver._segment_shots(1, 100) == 200
-        assert solver._segment_shots(3, 100) == 800
+        stage = ExecutionStage(problem, config)
+        assert stage.segment_shots(0, 100) == 100
+        assert stage.segment_shots(1, 100) == 200
+        assert stage.segment_shots(3, 100) == 800
 
     def test_uniform_schedule_is_identity(self):
         problem = make_benchmark("F1", 0)
-        solver = RasenganSolver(
-            problem, config=RasenganConfig(shots=100, max_iterations=1)
+        stage = ExecutionStage(
+            problem, RasenganConfig(shots=100, max_iterations=1)
         )
-        assert solver._segment_shots(5, 100) == 100
+        assert stage.segment_shots(5, 100) == 100
 
     def test_growth_still_converges(self):
         problem = make_benchmark("F1", 0)

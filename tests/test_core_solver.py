@@ -154,3 +154,30 @@ class TestRestarts:
             problem, config=exact_config(max_iterations=20, restarts=3)
         ).solve()
         assert triple.iterations > single.iterations
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("shots", [0, -1, 2.5, True, "1024"])
+    def test_invalid_shots_rejected(self, shots):
+        # shots=0 used to produce a "failed" solve with ARG ~ 1e8 and
+        # negative shots a raw ValueError from inside sampling.
+        with pytest.raises(SolverError, match="RasenganConfig.shots"):
+            RasenganConfig(shots=shots)
+
+    @pytest.mark.parametrize(
+        "rhobeg", [0, 0.0, -0.4, float("nan"), float("inf"), "0.4"]
+    )
+    def test_invalid_rhobeg_rejected(self, rhobeg):
+        # rhobeg=0 used to be replaced by scipy's default with a warning.
+        with pytest.raises(SolverError, match="RasenganConfig.rhobeg"):
+            RasenganConfig(rhobeg=rhobeg)
+
+    @pytest.mark.parametrize("shots", [None, 1, 1024, np.int64(256)])
+    def test_valid_shots_accepted(self, shots):
+        assert RasenganConfig(shots=shots).shots == shots
+
+    def test_replace_revalidates(self):
+        from dataclasses import replace
+
+        with pytest.raises(SolverError, match="shots"):
+            replace(RasenganConfig(), shots=0)

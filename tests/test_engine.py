@@ -123,6 +123,14 @@ class TestCompiledCircuit:
         basis = paper_basis
         return TransitionChainSpec(basis, list(range(basis.shape[0])), basis.shape[1])
 
+    def test_chain_masks_match_move_masks(self, paper_basis):
+        from repro.linalg.moves import move_masks
+
+        chain = TransitionChainSpec(paper_basis, [2, 0, 2, 1], 5)
+        assert chain.masks == tuple(
+            move_masks(paper_basis[index]) for index in chain.schedule
+        )
+
     def test_transition_chain_bind_equals_rebuild(self, paper_basis):
         chain = self._chain(paper_basis)
         positions = tuple(range(len(chain.schedule)))

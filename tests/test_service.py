@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import telemetry
+from repro.exceptions import SolverError
 from repro.problems import make_benchmark
 from repro.problems.io import problem_to_dict
 from repro.service import (
@@ -393,6 +394,22 @@ class TestServiceLifecycle:
         with pytest.raises(ServiceError):
             service.submit()
         service.close()
+
+    def test_submit_refuses_invalid_config_before_queueing(self):
+        executed = []
+        service = SolverService(workers=1, runner=executed.append).start()
+        try:
+            with pytest.raises(SolverError, match="shots"):
+                service.submit(F1, config={"shots": 0})
+            with pytest.raises(SolverError, match="rhobeg"):
+                service.submit(F1, config={"rhobeg": 0.0})
+            with pytest.raises(ServiceError, match="shotz"):
+                service.submit(F1, config={"shotz": 12})
+            assert service.jobs() == []
+            assert len(service.queue) == 0
+        finally:
+            service.close()
+        assert executed == []
 
     def test_priority_orders_execution(self):
         order = []

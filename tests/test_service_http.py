@@ -201,6 +201,14 @@ class TestJobRoutes:
             client.submit(benchmark="F1", config={"shotz": 1})
         assert excinfo.value.status == 400
 
+    def test_invalid_config_value_400(self, live_service):
+        service, _, client, _ = live_service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(benchmark="F1", config={"shots": 0})
+        assert excinfo.value.status == 400
+        assert "shots" in str(excinfo.value)
+        assert service.jobs() == []
+
     def test_cancel_route(self, live_service):
         service, _, client, _ = live_service
         # Block both workers so the target job stays queued.

@@ -59,6 +59,46 @@ class TestSampling:
         assert 1 not in counts
         assert sum(counts.values()) == 1000
 
+    @staticmethod
+    def _reference_counts(probabilities, shots, rng):
+        """The clip/sum/isfinite formulation the fast path replaced."""
+        if isinstance(probabilities, dict):
+            keys = np.fromiter(probabilities.keys(), dtype=np.int64)
+            probs = np.fromiter(probabilities.values(), dtype=np.float64)
+        else:
+            probs = np.asarray(probabilities, dtype=np.float64)
+            keys = np.arange(probs.shape[0], dtype=np.int64)
+        probs = probs.clip(min=0.0)
+        total = probs.sum()
+        assert np.isfinite(total) and total > 0.0
+        draws = rng.multinomial(shots, probs / total)
+        return {int(k): int(c) for k, c in zip(keys, draws) if c}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_formulation_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.random(64)
+        dense[rng.random(64) < 0.5] = 0.0
+        dense[3] = -1e-17
+        keys = rng.choice(1 << 12, size=7, replace=False).tolist()
+        sparse = dict(zip(keys, rng.random(7).tolist()))
+        for probabilities in (dense, sparse):
+            got = counts_from_probabilities(
+                probabilities, 1024, np.random.default_rng(seed)
+            )
+            expected = self._reference_counts(
+                probabilities, 1024, np.random.default_rng(seed)
+            )
+            assert list(got.items()) == list(expected.items())
+            assert all(type(k) is int and type(c) is int for k, c in got.items())
+
+    def test_mapping_nan_and_zero_mass_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(SimulationError):
+            counts_from_probabilities({1: float("nan"), 2: 0.5}, 10, rng)
+        with pytest.raises(SimulationError):
+            counts_from_probabilities({1: 0.0, 2: -0.5}, 10, rng)
+
     def test_readout_error_flips(self):
         rng = np.random.default_rng(1)
         counts = apply_readout_error({0: 10000}, 1, p01=0.1, p10=0.0, rng=rng)

@@ -131,6 +131,72 @@ class TestApplyTransition:
         np.testing.assert_allclose(sparse.to_dense(), dense, atol=1e-10)
 
 
+def _reference_transition(state, u, time):
+    """The per-key formulation ``apply_move`` replaced, kept as an oracle."""
+    from repro.linalg.moves import move_masks, partner_key_from_masks
+
+    mask_plus, mask_minus = move_masks(np.asarray(u, dtype=np.int64))
+    cos = math.cos(time)
+    sin = math.sin(time)
+    updated = {}
+    for key, amp in state.amplitudes.items():
+        partner = (
+            partner_key_from_masks(key, mask_plus, mask_minus)
+            if (mask_plus or mask_minus)
+            else None
+        )
+        if partner is None:
+            updated[key] = updated.get(key, 0.0) + amp
+            continue
+        updated[key] = updated.get(key, 0.0) + cos * amp
+        updated[partner] = updated.get(partner, 0.0) - 1j * sin * amp
+    state.amplitudes = updated
+    state.prune()
+
+
+class TestApplyMove:
+    def _random_chain(self, rng, n):
+        rows = rng.integers(-1, 2, size=(int(rng.integers(2, 5)), n))
+        schedule = rng.integers(0, rows.shape[0], size=int(rng.integers(3, 9)))
+        times = rng.uniform(-1.5, 1.5, size=schedule.size)
+        return rows, schedule, times
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_key_reference_in_order(self, seed):
+        from repro.linalg.moves import move_masks
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        rows, schedule, times = self._random_chain(rng, n)
+        start = rng.random(4)
+        keys = rng.choice(1 << n, size=4, replace=False).tolist()
+        distribution = dict(zip(keys, (start / start.sum()).tolist()))
+        by_move = SparseState.from_distribution(n, distribution)
+        by_vector = SparseState.from_distribution(n, distribution)
+        reference = SparseState.from_distribution(n, distribution)
+        for index, time in zip(schedule, times):
+            mask_plus, mask_minus = move_masks(rows[index])
+            by_move.apply_move(mask_plus, mask_minus, time)
+            by_vector.apply_transition(rows[index], time)
+            _reference_transition(reference, rows[index], time)
+        expected = list(reference.amplitudes.items())
+        assert list(by_move.amplitudes.items()) == expected
+        assert list(by_vector.amplitudes.items()) == expected
+
+    def test_zero_move_is_identity(self):
+        state = SparseState.from_distribution(3, {1: 0.25, 6: 0.75})
+        before = dict(state.amplitudes)
+        state.apply_move(0, 0, 0.9)
+        assert state.amplitudes == before
+
+    def test_from_distribution_owns_a_fresh_dict(self):
+        distribution = {0: 0.5, 3: 0.5}
+        state = SparseState.from_distribution(2, distribution)
+        state.apply_move(0b11, 0, 0.3)
+        assert distribution == {0: 0.5, 3: 0.5}
+        assert set(state.amplitudes) == {0, 3}
+
+
 class TestHousekeeping:
     def test_prune_drops_tiny_amplitudes(self):
         state = SparseState(2, {0: 1.0, 3: 1e-15})

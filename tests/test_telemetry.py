@@ -254,6 +254,42 @@ class TestSolverIntegration:
         assert collector.counter("optimizer.iterations") > 0
         assert collector.histograms["sparse.amplitudes"].maximum >= 1
 
+    def test_sparse_segment_counters_pinned(self):
+        # Values of the per-segment loop before mask caching; the lean
+        # segment step must keep every span and counter it emitted.
+        from repro.core.solver import RasenganConfig, RasenganSolver
+        from repro.pipeline.cache import ArtifactCache
+        from repro.problems import make_benchmark
+
+        config = RasenganConfig(
+            shots=256, max_iterations=20, seed=3, transitions_per_segment=2
+        )
+        with telemetry.session() as collector:
+            RasenganSolver(
+                make_benchmark("K2", 0),
+                config=config,
+                artifact_cache=ArtifactCache(),
+            ).solve()
+        counters = {
+            name: collector.counter(name)
+            for name in (
+                "engine.executions",
+                "circuits.executed",
+                "shots.total",
+                "sparse.transitions",
+            )
+        }
+        assert counters == {
+            "engine.executions": 44,
+            "circuits.executed": 44,
+            "shots.total": 44 * 256,
+            "sparse.transitions": 88,
+        }
+        amplitudes = collector.histograms["sparse.amplitudes"]
+        assert (amplitudes.count, amplitudes.total) == (88, 278.0)
+        spans = collector.span_names()
+        assert spans.count("segment") == spans.count("sparse.evolve") == 44
+
     def test_backend_engine_counts_backend_executions(self, small_flp):
         from repro.core.solver import RasenganConfig, RasenganSolver
         from repro.simulators.backends import IdealBackend

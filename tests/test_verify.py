@@ -129,6 +129,7 @@ class TestRegistry:
             "arg-vs-bruteforce",
             "key-table-vs-direct",
             "dense-ansatz-vs-circuit",
+            "segment-step-vs-reference",
         } <= names
 
     def test_unknown_name_rejected(self):
@@ -275,6 +276,7 @@ class TestMutationDetection:
                 "pipeline-cold-vs-cached",
                 "key-table-vs-direct",
                 "dense-ansatz-vs-circuit",
+                "segment-step-vs-reference",
             ]
         )
         report = run_checks(checks, seed=5)
