@@ -9,13 +9,32 @@ it to cross-check optimizer-agnostic behaviour.
 
 from __future__ import annotations
 
+import functools
+import importlib
 from typing import Callable
 
 import numpy as np
 from scipy import optimize as sciopt
 
+from repro.exceptions import SolverError
 from repro.simulators.seeding import SeedLike, make_rng
 from repro import telemetry
+
+
+@functools.cache
+def _unconstrained():
+    """:mod:`repro.baselines.cobyla`, or ``None`` on a scipy without pyprima.
+
+    The module reuses ``scipy._lib.pyprima`` (scipy >= 1.16); on an
+    older scipy its import fails and
+    :func:`minimize_cobyla` calls ``scipy.optimize.minimize`` instead.
+    Loaded on first use, as scipy loads pyprima, so importing
+    :mod:`repro` does not pay for it.
+    """
+    try:
+        return importlib.import_module("repro.baselines.cobyla")
+    except ImportError:
+        return None
 
 
 def minimize_cobyla(
@@ -30,21 +49,55 @@ def minimize_cobyla(
     (the initial simplex) when ``max_iterations`` is below it.  SciPy's
     COBYLA applies the same floor itself, with a ``UserWarning``; passing
     the floored value gives the same result without the warning.
+
+    With pyprima available the loop runs in :mod:`repro.baselines.cobyla`,
+    bit-identically to ``scipy.optimize.minimize(method="COBYLA")``;
+    otherwise scipy runs it.  The ``optimizer.cobyla`` span records the
+    loss ``evaluations`` and why COBYLA stopped (``stop``).
+
+    Raises:
+        SolverError: when ``x0`` holds a NaN or an infinity (scipy would
+            silently start from a different point).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.size == 0:
         return x0
+    if not np.isfinite(x0).all():
+        raise SolverError(f"COBYLA start point must be finite, got {x0!r}")
     budget = max(max_iterations, x0.size + 2)
     with telemetry.span(
         "optimizer.cobyla", dimensions=int(x0.size), budget=budget
-    ):
-        outcome = sciopt.minimize(
-            loss,
-            x0,
-            method="COBYLA",
-            options={"maxiter": budget, "rhobeg": rhobeg},
-        )
-    return np.asarray(outcome.x, dtype=float)
+    ) as span:
+        unconstrained = _unconstrained()
+        if unconstrained is not None:
+            x, evaluations, stop = unconstrained.minimize_unconstrained(
+                loss, x0, budget, rhobeg
+            )
+        else:
+            outcome = sciopt.minimize(
+                loss,
+                x0,
+                method="COBYLA",
+                options={"maxiter": budget, "rhobeg": rhobeg},
+            )
+            x, evaluations = outcome.x, int(outcome.nfev)
+            stop = _fallback_stop(outcome, budget)
+        span.set(evaluations=evaluations, stop=stop)
+    return np.asarray(x, dtype=float)
+
+
+def _fallback_stop(outcome: sciopt.OptimizeResult, budget: int) -> str:
+    """Stop reason from a scipy result, whichever COBYLA scipy ran.
+
+    Status codes differ between scipy's PRIMA port and its older
+    Fortran COBYLA, so the two common cases are read from ``nfev`` and
+    ``success`` instead; any other stop reports the raw ``status``.
+    """
+    if outcome.nfev >= budget:
+        return "max_evaluations"
+    if outcome.success:
+        return "small_radius"
+    return f"status_{int(outcome.status)}"
 
 
 def minimize_spsa(

@@ -43,7 +43,12 @@ import numpy as np
 
 from repro.baselines.optimizer import minimize_cobyla
 from repro.core.prune import PruneResult
-from repro.engine import ExecutionEngine, TransitionChainSpec, check_shots
+from repro.engine import (
+    ExecutionEngine,
+    TransitionChainSpec,
+    check_positive_int,
+    check_shots,
+)
 from repro.engine.registry import BackendSpec
 from repro import telemetry
 from repro.exceptions import NoFeasibleStateError, SolverError
@@ -93,6 +98,12 @@ def __getattr__(name: str):
     import importlib
 
     return getattr(importlib.import_module(module_name), attr)
+
+
+def _finite_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 @dataclass
@@ -160,9 +171,18 @@ class RasenganConfig:
 
     def __post_init__(self) -> None:
         check_shots(self.shots, "RasenganConfig.shots")
+        # COBYLA would floor a zero or negative budget to its simplex
+        # size and the restart loop would clamp restarts to 1, silently.
+        check_positive_int(self.max_iterations, "RasenganConfig.max_iterations")
+        check_positive_int(self.restarts, "RasenganConfig.restarts")
+        if not _finite_real(self.initial_time):
+            # NaN or inf would fail deep in SparseState instead.
+            raise SolverError(
+                "RasenganConfig.initial_time must be a finite number, "
+                f"got {self.initial_time!r}"
+            )
         rhobeg = self.rhobeg
-        real = isinstance(rhobeg, numbers.Real) and not isinstance(rhobeg, bool)
-        if not (real and math.isfinite(rhobeg) and rhobeg > 0):
+        if not (_finite_real(rhobeg) and rhobeg > 0):
             # scipy would silently swap a zero radius for its default.
             raise SolverError(
                 "RasenganConfig.rhobeg must be a finite positive number, "
@@ -434,7 +454,7 @@ class RasenganSolver:
                 return self._finalize(x0, history)
 
             starts = [x0]
-            for _ in range(max(self.config.restarts, 1) - 1):
+            for _ in range(self.config.restarts - 1):
                 starts.append(
                     x0
                     + self._rng.uniform(

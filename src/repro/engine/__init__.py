@@ -14,6 +14,7 @@ from repro.engine.core import (
     EngineDefaults,
     ExecutionEngine,
     TransitionChainSpec,
+    check_positive_int,
     check_shots,
     configure_defaults,
     ensure_engine,
@@ -37,6 +38,7 @@ __all__ = [
     "ExecutionEngine",
     "TransitionChainSpec",
     "available_backends",
+    "check_positive_int",
     "check_shots",
     "configure_defaults",
     "ensure_engine",

@@ -96,6 +96,12 @@ def get_defaults() -> EngineDefaults:
     return replace(_DEFAULTS)
 
 
+def _positive_int(value) -> bool:
+    """True for a positive integer that is not a bool."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return integral and value > 0
+
+
 def check_shots(shots, field: str) -> None:
     """Refuse shots that are neither ``None`` (exact) nor a positive int.
 
@@ -104,13 +110,21 @@ def check_shots(shots, field: str) -> None:
             otherwise score an empty sample (or fail deep inside
             sampling) instead of pointing at the configuration.
     """
-    if shots is None:
-        return
-    integral = isinstance(shots, numbers.Integral) and not isinstance(shots, bool)
-    if not integral or shots <= 0:
+    if shots is not None and not _positive_int(shots):
         raise SolverError(
             f"{field} must be None (exact) or a positive integer, got {shots!r}"
         )
+
+
+def check_positive_int(value, field: str) -> None:
+    """Refuse a count (iterations, restarts) that is not a positive int.
+
+    Raises:
+        SolverError: naming ``field``; a zero, negative, fractional or
+            bool count would otherwise be floored or clamped silently.
+    """
+    if not _positive_int(value):
+        raise SolverError(f"{field} must be a positive integer, got {value!r}")
 
 
 # ----------------------------------------------------------------------

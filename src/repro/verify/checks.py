@@ -777,3 +777,147 @@ def check_segment_step_vs_reference(ctx: CheckContext) -> CheckOutput:
         payload_b,
         details={"instances": instances},
     )
+
+
+# ----------------------------------------------------------------------
+# 10. In-repo unconstrained COBYLA vs scipy's COBYLA
+# ----------------------------------------------------------------------
+#: Synthetic objective dimensions; 130 runs at the ``x0.size + 2`` floor.
+_COBYLA_DIMENSIONS = (1, 2, 8, 40, 130)
+
+
+def _recorded(loss):
+    """``(wrapped, points)``: ``loss`` that logs a copy of every point."""
+    points: List[np.ndarray] = []
+
+    def wrapped(x):
+        points.append(np.array(x, dtype=float))
+        return loss(x)
+
+    return wrapped, points
+
+
+def _cobyla_cases(ctx: CheckContext):
+    """``(label, start, max_iterations, rhobeg)`` per case.
+
+    ``start()`` builds a fresh ``(loss, x0)`` with fresh RNG state, so
+    both paths see the same stream of draws.
+    """
+    from repro.baselines.choco_q import ChocoQ
+    from repro.baselines.hea import HardwareEfficientAnsatz
+    from repro.baselines.qaoa_penalty import PenaltyQAOA
+    from repro.core.solver import _FAILURE_SCORE, RasenganConfig, RasenganSolver
+    from repro.exceptions import NoFeasibleStateError
+    from repro.pipeline.cache import ArtifactCache
+    from repro.problems.registry import make_benchmark
+
+    scale = 2 if ctx.thorough else 1
+    cases = []
+    for label, benchmark_id, shots in (
+        ("rasengan/F1/exact", "F1", None),
+        ("rasengan/K1/1024", "K1", 1024),
+    ):
+        problem = make_benchmark(benchmark_id, int(ctx.rng(label).integers(0, 400)))
+        config = RasenganConfig(shots=shots, seed=ctx.derived_seed(label))
+
+        def start(problem=problem, config=config, cache=ArtifactCache()):
+            solver = RasenganSolver(problem, config=config, artifact_cache=cache)
+
+            def loss(times):
+                try:
+                    distribution, _ = solver.execute(times)
+                except NoFeasibleStateError:
+                    return _FAILURE_SCORE
+                return solver._score(distribution)
+
+            return loss, np.full(solver.num_parameters, config.initial_time)
+
+        cases.append((label, start, 30 * scale, config.rhobeg))
+    for label, cls, shots in (
+        ("hea/F1/exact", HardwareEfficientAnsatz, None),
+        ("pqaoa/J1/256", PenaltyQAOA, 256),
+        ("chocoq/K1/exact", ChocoQ, None),
+    ):
+        benchmark_id = label.split("/")[1]
+        problem = make_benchmark(benchmark_id, int(ctx.rng(label).integers(0, 400)))
+
+        def start(problem=problem, cls=cls, shots=shots, seed=ctx.derived_seed(label)):
+            baseline = cls(problem, shots=shots, seed=seed)
+            loss = lambda p: baseline.penalty_expectation(baseline.distribution(p))
+            return loss, baseline.initial_parameters()
+
+        # HEA's 72 parameters put a 60-evaluation budget under the floor.
+        cases.append((label, start, 60 * scale, 0.5))
+    for n in _COBYLA_DIMENSIONS:
+        rng = ctx.rng(f"cobyla-synthetic-{n}")
+        target = rng.uniform(-1.0, 1.0, n)
+        x0 = rng.uniform(-1.0, 1.0, n)
+        budget = 1 if n == _COBYLA_DIMENSIONS[-1] else (40 + 2 * n) * scale
+
+        def quadratic(target=target, x0=x0):
+            return (lambda x: float(((x - target) ** 2).sum())), x0
+
+        def noisy(target=target, x0=x0, seed=ctx.derived_seed(f"cobyla-noise-{n}")):
+            noise = np.random.default_rng(seed)
+            loss = lambda x: float(np.abs(x - target).sum() + 0.05 * noise.normal())
+            return loss, x0
+
+        cases.append((f"quadratic/{n}", quadratic, budget, 0.5))
+        cases.append((f"noisy/{n}", noisy, budget, 0.3))
+    return cases
+
+
+@register_check(
+    "cobyla-vs-scipy",
+    "scipy.optimize.minimize(method='COBYLA') vs minimize_cobyla (the "
+    "in-repo m = 0 loop): returned x and every evaluated point, in order",
+    tolerance=0.0,
+)
+def check_cobyla_vs_scipy(ctx: CheckContext) -> CheckOutput:
+    """The in-repo unconstrained COBYLA must replay scipy exactly.
+
+    Path A runs ``scipy.optimize.minimize`` with the options
+    ``minimize_cobyla`` would pass (the budget floored to
+    ``x0.size + 2``); path B runs ``minimize_cobyla``.  Each case logs
+    every point the objective is handed; the logs and the returned
+    ``x`` must agree bit for bit.  Objectives: seeded Rasengan (exact
+    and 1024 shots), HEA, P-QAOA (256 shots) and Choco-Q, plus
+    quadratic and RNG-consuming noisy objectives of dimension 1 to 130.
+    On a scipy without pyprima both paths are scipy.
+    """
+    import scipy
+    from scipy import optimize as sciopt
+
+    from repro.baselines import optimizer
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    budgets: Dict[str, int] = {}
+    for label, start, max_iterations, rhobeg in _cobyla_cases(ctx):
+        loss, x0 = start()
+        budget = max(max_iterations, x0.size + 2)
+        budgets[label] = budget
+        loss, points = _recorded(loss)
+        outcome = sciopt.minimize(
+            loss, x0, method="COBYLA", options={"maxiter": budget, "rhobeg": rhobeg}
+        )
+        payload_a[label] = {"x": np.asarray(outcome.x, dtype=float), "points": points}
+        loss, x0 = start()
+        loss, points = _recorded(loss)
+        best = optimizer.minimize_cobyla(
+            loss, x0, max_iterations=max_iterations, rhobeg=rhobeg
+        )
+        payload_b[label] = {"x": best, "points": points}
+    return CheckOutput(
+        "scipy-minimize",
+        payload_a,
+        "minimize-cobyla",
+        payload_b,
+        details={
+            "budgets": budgets,
+            "path-b": (
+                "in-repo" if optimizer._unconstrained() is not None else "scipy"
+            ),
+            "scipy": scipy.__version__,
+        },
+    )

@@ -222,3 +222,23 @@ class TestShotValidation:
     @pytest.mark.parametrize("shots", [None, 1, np.int64(64)])
     def test_valid_shots_accepted(self, f1, shots):
         assert HardwareEfficientAnsatz(f1, shots=shots).shots == shots
+
+
+class TestIterationValidation:
+    @pytest.mark.parametrize("cls", [HardwareEfficientAnsatz, PenaltyQAOA, ChocoQ])
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, True, "60"])
+    def test_invalid_budget_rejected(self, f1, cls, budget):
+        # Budgets below one used to train quietly at COBYLA's simplex floor.
+        with pytest.raises(SolverError, match="max_iterations"):
+            cls(f1, shots=None, max_iterations=budget)
+
+    def test_run_algorithm_rejects_negative_budget(self, f1):
+        from repro.experiments.runner import run_algorithm
+
+        with pytest.raises(SolverError, match="max_iterations"):
+            run_algorithm("hea", f1, max_iterations=-5)
+
+    @pytest.mark.parametrize("budget", [1, np.int64(30)])
+    def test_valid_budget_accepted(self, f1, budget):
+        baseline = HardwareEfficientAnsatz(f1, shots=None, max_iterations=budget)
+        assert baseline.max_iterations == budget

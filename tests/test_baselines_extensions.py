@@ -1,16 +1,20 @@
 """Extension baselines: Grover adaptive search and annealing."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize as sciopt
 
 from repro.baselines import (
     GroverAdaptiveSearch,
     QuantumAnnealer,
     SimulatedAnnealing,
 )
+from repro.baselines import optimizer
 from repro.baselines.optimizer import minimize_cobyla, minimize_spsa
+from repro.exceptions import SolverError
 from repro.problems import make_benchmark
 
 
@@ -104,6 +108,60 @@ class TestCobylaOptimizer:
             low = minimize_cobyla(loss, x0, max_iterations=3)
             floor = minimize_cobyla(loss, x0, max_iterations=x0.size + 2)
         assert np.array_equal(low, floor)
+
+    @staticmethod
+    def _objective(kind, n):
+        """A fresh loss that records every point it is handed."""
+        target = np.linspace(-1.0, 1.0, n)
+        rng = np.random.default_rng(11)
+        points = []
+
+        def loss(x):
+            points.append(x.copy())
+            value = float(((x - target) ** 2).sum())
+            if kind == "noisy":
+                value += 0.05 * rng.normal()
+            return value
+
+        return loss, points
+
+    def _assert_same_run(self, kind, n, budget=60, rhobeg=0.5):
+        x0 = np.full(n, 0.3)
+        loss, scipy_points = self._objective(kind, n)
+        reference = sciopt.minimize(
+            loss, x0, method="COBYLA", options={"maxiter": budget, "rhobeg": rhobeg}
+        )
+        loss, points = self._objective(kind, n)
+        best = minimize_cobyla(loss, x0, max_iterations=budget, rhobeg=rhobeg)
+        assert best.tobytes() == reference.x.tobytes()
+        assert [p.tobytes() for p in points] == [p.tobytes() for p in scipy_points]
+
+    @pytest.mark.parametrize("kind", ["quadratic", "noisy"])
+    @pytest.mark.parametrize("n", [1, 3, 8, 15])
+    def test_matches_scipy_point_for_point(self, n, kind):
+        # The noisy loss draws from its RNG on every call, so one extra
+        # or missing evaluation would shift every later point.
+        self._assert_same_run(kind, n)
+
+    def test_fallback_without_pyprima_is_scipy(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            for name in list(sys.modules):
+                if name.startswith("scipy._lib.pyprima"):
+                    patch.setitem(sys.modules, name, None)
+            patch.setitem(sys.modules, "scipy._lib.pyprima", None)
+            patch.delitem(sys.modules, "repro.baselines.cobyla", raising=False)
+            unconstrained = optimizer._unconstrained.__wrapped__()
+        assert unconstrained is None
+        monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
+        self._assert_same_run("noisy", 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        # scipy would silently start from a different point.
+        calls = []
+        with pytest.raises(SolverError, match="finite"):
+            minimize_cobyla(calls.append, np.array([0.1, bad, 0.2]))
+        assert calls == []
 
 
 class TestSpsaOptimizer:

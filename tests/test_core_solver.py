@@ -172,6 +172,32 @@ class TestConfigValidation:
         with pytest.raises(SolverError, match="RasenganConfig.rhobeg"):
             RasenganConfig(rhobeg=rhobeg)
 
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, True, "100"])
+    def test_invalid_max_iterations_rejected(self, budget):
+        # Budgets below one used to solve quietly at the simplex floor.
+        with pytest.raises(SolverError, match="RasenganConfig.max_iterations"):
+            RasenganConfig(max_iterations=budget)
+
+    @pytest.mark.parametrize("restarts", [0, -2, 1.5, True])
+    def test_invalid_restarts_rejected(self, restarts):
+        # 0 and -2 used to become 1 silently, 1.5 a raw TypeError.
+        with pytest.raises(SolverError, match="RasenganConfig.restarts"):
+            RasenganConfig(restarts=restarts)
+
+    @pytest.mark.parametrize(
+        "initial_time", [float("nan"), float("inf"), -float("inf"), "0.7", True]
+    )
+    def test_invalid_initial_time_rejected(self, initial_time):
+        # NaN or inf used to fail deep in SparseState with a raw
+        # "math domain error".
+        with pytest.raises(SolverError, match="RasenganConfig.initial_time"):
+            RasenganConfig(initial_time=initial_time)
+
+    @pytest.mark.parametrize("budget", [1, np.int64(100)])
+    def test_valid_max_iterations_accepted(self, budget):
+        # fig10 and fig13 train with max_iterations=1 (COBYLA's floor).
+        assert RasenganConfig(max_iterations=budget).max_iterations == budget
+
     @pytest.mark.parametrize("shots", [None, 1, 1024, np.int64(256)])
     def test_valid_shots_accepted(self, shots):
         assert RasenganConfig(shots=shots).shots == shots

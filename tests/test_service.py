@@ -403,6 +403,8 @@ class TestServiceLifecycle:
                 service.submit(F1, config={"shots": 0})
             with pytest.raises(SolverError, match="rhobeg"):
                 service.submit(F1, config={"rhobeg": 0.0})
+            with pytest.raises(SolverError, match="max_iterations"):
+                service.submit(F1, config={"max_iterations": 0})
             with pytest.raises(ServiceError, match="shotz"):
                 service.submit(F1, config={"shotz": 12})
             assert service.jobs() == []

@@ -209,6 +209,14 @@ class TestJobRoutes:
         assert "shots" in str(excinfo.value)
         assert service.jobs() == []
 
+    def test_invalid_budget_400(self, live_service):
+        service, _, client, _ = live_service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(benchmark="F1", config={"max_iterations": 0})
+        assert excinfo.value.status == 400
+        assert "max_iterations" in str(excinfo.value)
+        assert service.jobs() == []
+
     def test_cancel_route(self, live_service):
         service, _, client, _ = live_service
         # Block both workers so the target job stays queued.

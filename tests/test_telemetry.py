@@ -315,6 +315,32 @@ class TestSolverIntegration:
         assert "baseline.solve" in set(collector.span_names())
         assert "optimizer.cobyla" in set(collector.span_names())
 
+    @pytest.mark.parametrize(
+        "budget, stop", [(12, "max_evaluations"), (500, "small_radius")]
+    )
+    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    def test_cobyla_span_reports_evaluations_and_stop(
+        self, monkeypatch, path, budget, stop
+    ):
+        import numpy as np
+
+        from repro.baselines import optimizer
+
+        if path == "scipy":
+            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
+        calls = []
+
+        def loss(x):
+            calls.append(1)
+            return float(((x - 0.25) ** 2).sum())
+
+        with telemetry.session() as collector:
+            optimizer.minimize_cobyla(loss, np.zeros(3), max_iterations=budget)
+        (span,) = [s for s in collector.iter_spans() if s.name == "optimizer.cobyla"]
+        assert span.attributes["stop"] == stop
+        assert span.attributes["evaluations"] == len(calls)
+        assert span.attributes["budget"] == budget
+
     def test_solver_untraced_when_disabled(self, small_flp):
         from repro.core.solver import RasenganConfig, RasenganSolver
 

@@ -277,6 +277,7 @@ class TestMutationDetection:
                 "key-table-vs-direct",
                 "dense-ansatz-vs-circuit",
                 "segment-step-vs-reference",
+                "cobyla-vs-scipy",
             ]
         )
         report = run_checks(checks, seed=5)
