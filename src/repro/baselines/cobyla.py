@@ -22,6 +22,10 @@ that cannot change a result when there are no constraints:
   bound and constraint processing and the projection of ``x0`` are
   no-ops without bounds or constraints.
 
+The trust-region step itself runs in :func:`_trstlp_unconstrained`,
+``trstlp`` reduced to m = 0 with the same bits; ``trstlp`` serves the
+inputs outside its fast path.
+
 What is kept is what scipy's ``ScalarFunction`` does around the loss
 (see :class:`_Objective`) and ``cobyla()``'s option derivation through
 ``preproc``.  Every evaluated point, in order, and the returned ``x``
@@ -66,7 +70,7 @@ to Python by Nickolai Belakovski for ``scipy._lib.pyprima``:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 from scipy._lib.pyprima.cobyla.geometry import geostep, setdrop_tr
@@ -81,6 +85,8 @@ from scipy._lib.pyprima.common.consts import (
     GAMMA1_DEFAULT,
     GAMMA2_DEFAULT,
     MAXFUN_DIM_DEFAULT,
+    REALMAX,
+    REALMIN,
 )
 from scipy._lib.pyprima.common.evaluate import evaluate, moderatef
 from scipy._lib.pyprima.common.infos import (
@@ -95,6 +101,8 @@ from scipy._lib.pyprima.common.preproc import preproc
 from scipy._lib.pyprima.common.ratio import redrat
 from scipy._lib.pyprima.common.redrho import redrho
 from scipy._lib.pyprima.common.selectx import savefilt, selectx
+
+from repro.baselines.optimizer import check_finite_loss
 
 #: scipy's ``tol`` default for COBYLA, passed to PRIMA as ``rhoend``.
 RHOEND = 1e-4
@@ -119,6 +127,10 @@ class CobylaRun(NamedTuple):
     evaluations: int
     #: Why COBYLA stopped (see :data:`STOP_REASONS`).
     stop: str
+    #: Trust-region steps taken.
+    tr_steps: int
+    #: Of those, steps served by pyprima's general ``trstlp``.
+    tr_fallbacks: int
 
 
 class _Objective:
@@ -128,7 +140,8 @@ class _Objective:
     with ``.item()``; and a repeat of the last evaluated point returns
     the cached value without calling the loss.  The memo matters: a
     sampled objective draws from its RNG on every call, so one extra
-    call would shift every later draw.
+    call would shift every later draw.  Unlike scipy, a NaN or infinite
+    value is refused (:func:`~repro.baselines.optimizer.check_finite_loss`).
     """
 
     __slots__ = ("loss", "x", "f", "calls")
@@ -152,6 +165,7 @@ class _Objective:
                     "The user-provided objective function "
                     "must return a scalar value."
                 ) from error
+        check_finite_loss(fx, self.calls)
         self.f = fx
 
     def __call__(self, x: np.ndarray):
@@ -233,8 +247,6 @@ def minimize_unconstrained(
         kopt = selectx(ffilt[:nfilt], cfilt[:nfilt], cweight, ctol)
         return _finish(xfilt[:, kopt], calcfc, subinfo)
 
-    A = np.zeros((num_vars, 0))
-    b = np.zeros(0)
     distsq = np.zeros(num_vars + 1)
     rho = rhobeg
     delta = rhobeg
@@ -246,6 +258,7 @@ def minimize_unconstrained(
     gamma3 = np.maximum(1, np.minimum(0.75 * gamma2, 1.5))
     maxtr = 10 * maxfun
     info = MAXTR_REACHED
+    tr_steps = tr_fallbacks = 0
     # As in cobylb, ``d`` is first bound by the trust-region step; a
     # break before the first step would leave it unbound there too.
     for _ in range(maxtr):
@@ -259,7 +272,9 @@ def minimize_unconstrained(
             primasum(primapow2(sim[:, :num_vars]), axis=0) <= 4 * primapow2(delta)
         )
         g = matprod((fval[:num_vars] - fval[num_vars]), simi)
-        d = trstlp(A, b, delta, g)
+        d, fell_back = _trstlp_unconstrained(g, delta)
+        tr_steps += 1
+        tr_fallbacks += fell_back
         dnorm = min(delta, norm(d))
         shortd = dnorm <= 0.1 * rho
         preref = -inprod(d, g)
@@ -348,13 +363,113 @@ def minimize_unconstrained(
             cstrv, ctol, cweight, f, x, nfilt, cfilt, ffilt, xfilt, constr, confilt
         )
     kopt = selectx(ffilt[:nfilt], cfilt[:nfilt], max(cpen, cweight), ctol)
-    return _finish(xfilt[:, kopt], calcfc, info)
+    return _finish(xfilt[:, kopt], calcfc, info, tr_steps, tr_fallbacks)
 
 
-def _finish(x: np.ndarray, calcfc: _Objective, info: int) -> CobylaRun:
+#: ``planerot``'s range for its direct ``x / norm(x)`` rotation.
+_ROTATION_MIN = np.sqrt(REALMIN)
+_ROTATION_MAX = np.sqrt(REALMAX / 2.1)
+
+#: ``trstlp`` rescales a gradient with an entry above this.
+_TRSTLP_MAX_ENTRY = 1e12
+
+
+def _trstlp_unconstrained(g: np.ndarray, delta: float) -> Tuple[np.ndarray, bool]:
+    """``trstlp(A, b, delta, g)`` for an ``n x 0`` ``A``, bit for bit.
+
+    Returns ``(d, fell_back)``; ``fell_back`` is true when pyprima's
+    general ``trstlp`` served the step.
+
+    With no constraints, ``trstlp``'s stage 1 returns at once (``d = 0``,
+    ``z = I``) and stage 2 runs one iteration on the objective column:
+
+    * ``qradd_Rdiag(g, I, ., 0)`` sets ``cq = g @ I``, which is ``g``
+      exactly (each sum has one nonzero term), and drops no entry
+      (``isminor(x, |x|)`` holds only at ``x = 0``).  It then sweeps
+      Givens rotations bottom-up: for k = n-2, ..., 0,
+      ``G = planerot(cq[k:k+2])``, ``Q[:, [k, k+1]] @= G.T`` and
+      ``cq[k] = hypot(cq[k], cq[k+1])``.  Only ``v = Q[:, 0]`` and
+      ``zdota = cq[0]`` are used afterwards.  Column k is still
+      ``e_k`` when step k reaches it, so every entry of the 2 x 2
+      product has one exactly-zero term and ``v *= s; v[k] = c`` gives
+      the same bits.
+    * ``sdirn = -1/zdota * v``; from ``d = 0`` the step to the
+      trust-region boundary is ``step * sdirn``, with ``sd = 0`` in the
+      step-length formula.
+    * The multiplier fraction is then 1, so ``d`` becomes that step
+      (see the comment at the return).
+
+    The fast path takes the direct ``planerot`` branch at every step;
+    any other input falls back to pyprima.  An all-zero ``g`` adds no
+    column (``nact`` stays 0) and ``trstlp`` returns ``d = 0``.
+    """
+    num_vars = g.size
+    magnitude = np.abs(g)
+    if not magnitude.any():
+        return np.zeros(num_vars), False
+    # A NaN fails both tests; an infinity or a rescaled g fails the second.
+    if not (magnitude.min() > _ROTATION_MIN and magnitude.max() <= _TRSTLP_MAX_ENTRY):
+        return _trstlp_general(g, delta), True
+    entries = g.tolist()
+    v = np.zeros(num_vars)
+    v[-1] = 1.0
+    pair = np.empty(2)
+    zdota = entries[-1]
+    for k in range(num_vars - 2, -1, -1):
+        gk = entries[k]
+        # planerot's ratio branches (c or s set to exactly 0 or ±1).
+        if abs(zdota) <= EPS * abs(gk) or abs(gk) <= EPS * abs(zdota):
+            return _trstlp_general(g, delta), True
+        # planerot's r = norm(x) is sqrt(x.dot(x)); a BLAS dot may fuse
+        # the multiply-add, so r is not sqrt(a*a + b*b) in general.
+        pair[0] = gk
+        pair[1] = zdota
+        r = np.sqrt(pair.dot(pair))
+        v[k + 1:] *= zdota / r
+        v[k] = gk / r
+        zdota = np.hypot(gk, zdota)
+        if not _ROTATION_MIN < zdota < _ROTATION_MAX:
+            return _trstlp_general(g, delta), True
+    # qradd_Rdiag adds the column only if |zdota| > EPS**2 (zdota = g[0]
+    # may be negative at n = 1).
+    if not abs(zdota) > EPS**2:
+        return _trstlp_general(g, delta), True
+    sdirn = -1 / zdota * v
+    # trstlp's step to the boundary from d = 0, where sd = sdirn @ d = 0;
+    # each early return is one of its breaks, taken before d moves.
+    dd = delta * delta
+    ss = np.dot(sdirn, sdirn)
+    if dd <= 0 or ss <= EPS * delta * delta:
+        return np.zeros(num_vars), False
+    step = np.sqrt(ss * dd) / ss
+    if not 0 < step < np.inf:
+        return np.zeros(num_vars), False
+    # trstlp then solves lstsq(g, d_new) for the multiplier vmultd, which
+    # stage 2 clamps to max(0, -lstsq) >= 0.  The step fraction takes
+    # only entries with vmultd < 0, so it is 1 whatever lstsq returns,
+    # and d = 0*0 + 1*d_new.  The multiplier is read again only by a
+    # finiteness test, which fails only if |lstsq| overflows; here
+    # |lstsq| ~ ||d_new|| / ||g|| < sqrt(REALMAX) / sqrt(REALMIN), since
+    # delta**2 is finite and every |g_i| > sqrt(REALMIN).  So lstsq is
+    # dropped.  Adding 0.0 turns -0.0 into +0.0, as trstlp's 0 + d does.
+    return step * sdirn + 0.0, False
+
+
+def _trstlp_general(g: np.ndarray, delta: float) -> np.ndarray:
+    """pyprima's ``trstlp`` with no constraints."""
+    return trstlp(np.zeros((g.size, 0)), _NO_CONSTRAINTS, delta, g)
+
+
+def _finish(
+    x: np.ndarray,
+    calcfc: _Objective,
+    info: int,
+    tr_steps: int = 0,
+    tr_fallbacks: int = 0,
+) -> CobylaRun:
     """The run's outcome; ``x`` is copied out of the filter array."""
     stop = STOP_REASONS.get(info, f"status_{info}")
-    return CobylaRun(x.copy(), calcfc.calls, stop)
+    return CobylaRun(x.copy(), calcfc.calls, stop, tr_steps, tr_fallbacks)
 
 
 def _evaluate_near(

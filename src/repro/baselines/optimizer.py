@@ -53,13 +53,23 @@ def minimize_cobyla(
     With pyprima available the loop runs in :mod:`repro.baselines.cobyla`,
     bit-identically to ``scipy.optimize.minimize(method="COBYLA")``;
     otherwise scipy runs it.  The ``optimizer.cobyla`` span records the
-    loss ``evaluations`` and why COBYLA stopped (``stop``).
+    loss ``evaluations`` and why COBYLA stopped (``stop``); on the
+    in-repo loop also the trust-region steps taken (``tr_steps``) and
+    how many of them pyprima's general ``trstlp`` served
+    (``tr_fallbacks``).  A 0-d ``x0`` is read as a 1-vector, as scipy
+    reads it.
 
     Raises:
-        SolverError: when ``x0`` holds a NaN or an infinity (scipy would
-            silently start from a different point).
+        SolverError: when ``x0`` has more than one dimension, or holds a
+            NaN or an infinity (scipy would silently start from a
+            different point); or when ``loss`` returns a NaN or an
+            infinity (PRIMA would replace it, or work on with it).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim != 1:
+        raise SolverError(
+            f"COBYLA start point must be one-dimensional, got shape {x0.shape}"
+        )
     if x0.size == 0:
         return x0
     if not np.isfinite(x0).all():
@@ -70,20 +80,61 @@ def minimize_cobyla(
     ) as span:
         unconstrained = _unconstrained()
         if unconstrained is not None:
-            x, evaluations, stop = unconstrained.minimize_unconstrained(
-                loss, x0, budget, rhobeg
+            run = unconstrained.minimize_unconstrained(loss, x0, budget, rhobeg)
+            x, evaluations = run.x, run.evaluations
+            span.set(
+                stop=run.stop,
+                tr_steps=run.tr_steps,
+                tr_fallbacks=run.tr_fallbacks,
             )
         else:
             outcome = sciopt.minimize(
-                loss,
+                _refusing_non_finite(loss),
                 x0,
                 method="COBYLA",
                 options={"maxiter": budget, "rhobeg": rhobeg},
             )
             x, evaluations = outcome.x, int(outcome.nfev)
-            stop = _fallback_stop(outcome, budget)
-        span.set(evaluations=evaluations, stop=stop)
+            span.set(stop=_fallback_stop(outcome, budget))
+        span.set(evaluations=evaluations)
+        telemetry.add("optimizer.evaluations", evaluations)
     return np.asarray(x, dtype=float)
+
+
+def check_finite_loss(value, evaluation: int) -> None:
+    """Refuse a NaN or infinite loss ``value`` from call ``evaluation``.
+
+    COBYLA cannot use such a value: PRIMA replaces NaN and ``+inf``
+    with a large finite number and runs on ``-inf`` into NaN arithmetic.
+    ``evaluation`` counts the calls made to the loss, from 1.
+
+    Raises:
+        SolverError: naming the value and the evaluation.
+    """
+    if not np.isfinite(value):
+        raise SolverError(
+            f"COBYLA loss returned {value} on evaluation {evaluation}; "
+            "the loss must be finite"
+        )
+
+
+def _refusing_non_finite(loss: Callable[[np.ndarray], float]):
+    """``loss`` with :func:`check_finite_loss` applied, for scipy's COBYLA.
+
+    The value is checked as scipy scalarises it (``.item()`` of a
+    one-element result) and handed on unchanged.
+    """
+    calls = 0
+
+    def checked(x: np.ndarray):
+        nonlocal calls
+        value = loss(x)
+        calls += 1
+        if np.size(value) == 1:
+            check_finite_loss(np.asarray(value).item(), calls)
+        return value
+
+    return checked
 
 
 def _fallback_stop(outcome: sciopt.OptimizeResult, budget: int) -> str:

@@ -11,7 +11,7 @@ Three layers are covered, mirroring the execution architecture
 
 * ``micro.*`` — single hot paths: dense vs sparse statevector apply,
   Barenco decomposition, cold/warm pipeline passes, compiled-circuit
-  rebinding, ``engine.run_batch``.
+  rebinding, ``engine.run_batch``, the COBYLA optimizer.
 * ``macro.*`` — end-to-end :class:`~repro.core.solver.RasenganSolver`
   solves on the five benchmark families (F1/K1/J1/S1/G1) plus one
   baseline per family through the shared experiment runner.
@@ -373,6 +373,33 @@ def _run_batch_setup(seed: int):
 )
 def _run_batch_run(ctx, iteration: int):
     return ctx["solver"].execute_batch(ctx["batch"])
+
+
+def _cobyla_setup(seed: int):
+    from repro.simulators.seeding import make_rng
+
+    return make_rng(seed).uniform(-1.0, 1.0, size=8)
+
+
+@register_workload(
+    "micro.optimizer.cobyla",
+    description="minimize_cobyla on an 8-parameter quadratic (budget 200)",
+    suites=("micro",),
+    seed=108,
+    counters=("optimizer.evaluations",),
+    setup=_cobyla_setup,
+)
+def _cobyla_run(target, iteration: int):
+    import numpy as np
+
+    from repro.baselines.optimizer import minimize_cobyla
+
+    # The loss costs microseconds, so the sample is the optimizer's own time.
+    return minimize_cobyla(
+        lambda x: float(((x - target) ** 2).sum()),
+        np.zeros(target.size),
+        max_iterations=200,
+    )
 
 
 # ======================================================================

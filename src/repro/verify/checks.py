@@ -921,3 +921,85 @@ def check_cobyla_vs_scipy(ctx: CheckContext) -> CheckOutput:
             "scipy": scipy.__version__,
         },
     )
+
+
+# ----------------------------------------------------------------------
+# 11. m = 0 trust-region step kernel vs pyprima's trstlp
+# ----------------------------------------------------------------------
+#: Gradient dimensions; each runs at magnitudes 1e-8, 1e-4, 1, 1e4, 1e8.
+_TRSTLP_DIMENSIONS = (1, 2, 3, 8, 15, 40, 120, 130)
+
+
+def _trstlp_cases(ctx: CheckContext) -> List[Tuple[str, np.ndarray, float]]:
+    """``(label, g, delta)`` per case: seeded gradients plus edge inputs."""
+    eps = np.finfo(float).eps
+    cases = []
+    for n in _TRSTLP_DIMENSIONS:
+        rng = ctx.rng(f"trstlp-{n}")
+        for exponent in (-8, -4, 0, 4, 8):
+            g = rng.normal(size=n) * 10.0**exponent
+            cases.append((f"n{n}/1e{exponent}", g, float(rng.uniform(0.01, 1.0))))
+    rng = ctx.rng("trstlp-edges")
+    base = rng.normal(size=8)
+    partly_zero = base.copy()
+    partly_zero[[2, 5]] = 0.0
+    # |g_3| <= EPS * ||g_4:||: planerot's c = 0 branch at k = 3.
+    tiny_ratio = base.copy()
+    tiny_ratio[3] = 0.5 * eps * np.linalg.norm(base[4:])
+    above_rescale = base.copy()
+    above_rescale[1] = 2e12  # trstlp rescales g above 1e12
+    subnormal = base.copy()
+    subnormal[6] = 5e-324
+    edges = {
+        "zero/8": np.zeros(8),
+        "partly-zero/8": partly_zero,
+        "tiny-ratio/8": tiny_ratio,
+        "above-1e12/8": above_rescale,
+        "subnormal/8": subnormal,
+        # ||sdirn||**2 = 1/||g||**2 <= EPS * delta**2: trstlp returns d = 0.
+        "large/8": base * 1e10,
+        "negative/1": np.array([-abs(rng.normal())]),
+    }
+    for label, g in edges.items():
+        cases.append((label, g, float(rng.uniform(0.01, 1.0))))
+    return cases
+
+
+@register_check(
+    "trstlp-vs-pyprima",
+    "pyprima's trstlp with no constraints vs the one-sweep m = 0 "
+    "trust-region kernel, on seeded and edge-case gradients",
+    suites=("full",),
+    tolerance=0.0,
+)
+def check_trstlp_vs_pyprima(ctx: CheckContext) -> CheckOutput:
+    """The m = 0 trust-region kernel must return pyprima's step exactly.
+
+    Path A calls ``trstlp`` with an ``n x 0`` constraint matrix; path B
+    calls ``_trstlp_unconstrained``, which falls back to ``trstlp``
+    outside its fast path (the details count those cases).  Full suite
+    only: on a scipy without pyprima there is nothing to compare, and
+    every quick check must run everywhere.
+    """
+    try:
+        from scipy._lib.pyprima.cobyla.trustregion import trstlp
+
+        from repro.baselines.cobyla import _trstlp_unconstrained
+    except ImportError as error:
+        raise CheckSkipped(f"scipy without pyprima: {error}") from error
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    fallbacks: List[str] = []
+    for label, g, delta in _trstlp_cases(ctx):
+        payload_a[label] = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
+        payload_b[label], fell_back = _trstlp_unconstrained(g, delta)
+        if fell_back:
+            fallbacks.append(label)
+    return CheckOutput(
+        "pyprima-trstlp",
+        payload_a,
+        "m0-kernel",
+        payload_b,
+        details={"cases": len(payload_a), "fallbacks": fallbacks},
+    )

@@ -95,6 +95,31 @@ class TestQuantumAnnealer:
         assert rasengan.arg <= annealer.arg + 1e-9
 
 
+def _trstlp_edge_cases():
+    """``(id, g, falls_back)``: the m = 0 kernel's edge inputs."""
+    eps = np.finfo(float).eps
+    base = np.random.default_rng(5).normal(size=8)
+
+    def with_entry(index, value):
+        g = base.copy()
+        g[index] = value
+        return g
+
+    return [
+        ("zero", np.zeros(8), False),
+        ("zero-n1", np.zeros(1), False),
+        ("partly-zero", with_entry(2, 0.0), True),
+        # |g_3| <= EPS * ||g_4:||: planerot's c = 0 branch.
+        ("tiny-ratio", with_entry(3, 0.5 * eps * np.linalg.norm(base[4:])), True),
+        ("above-1e12", with_entry(1, 2e12), True),
+        ("subnormal", with_entry(6, 5e-324), True),
+        ("nan", with_entry(0, np.nan), True),
+        ("negative-n1", np.array([-0.7]), False),
+        # ||sdirn||**2 = 1/||g||**2 <= EPS * delta**2: trstlp returns d = 0.
+        ("large", base * 1e10, False),
+    ]
+
+
 class TestCobylaOptimizer:
     def test_budget_below_simplex_floor_matches_explicit_floor(self):
         target = np.linspace(-1.0, 1.0, 6)
@@ -162,6 +187,72 @@ class TestCobylaOptimizer:
         with pytest.raises(SolverError, match="finite"):
             minimize_cobyla(calls.append, np.array([0.1, bad, 0.2]))
         assert calls == []
+
+    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected(self, monkeypatch, path, bad):
+        # PRIMA would replace NaN and +inf by a large number and run on
+        # -inf into NaN arithmetic, returning a meaningless point.
+        if path == "scipy":
+            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
+        calls = []
+
+        def loss(x):
+            calls.append(1)
+            if len(calls) == 3:
+                return np.array([bad])
+            return float(((x - 0.3) ** 2).sum())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=rf"{bad!r} on evaluation 3"):
+                minimize_cobyla(loss, np.zeros(3), max_iterations=30)
+        assert len(calls) == 3
+
+    def test_multidimensional_start_rejected(self):
+        with pytest.raises(SolverError, match=r"shape \(2, 2\)"):
+            minimize_cobyla(lambda x: 0.0, np.zeros((2, 2)))
+
+    def test_zero_dimensional_start_matches_scipy(self):
+        # scipy reads a 0-d x0 as a 1-vector; so does minimize_cobyla.
+        loss, scipy_points = self._objective("quadratic", 1)
+        reference = sciopt.minimize(
+            loss, np.array(0.3), method="COBYLA", options={"maxiter": 30, "rhobeg": 0.5}
+        )
+        loss, points = self._objective("quadratic", 1)
+        best = minimize_cobyla(loss, np.array(0.3), max_iterations=30)
+        assert best.shape == reference.x.shape == (1,)
+        assert best.tobytes() == reference.x.tobytes()
+        assert [p.shape for p in points] == [p.shape for p in scipy_points]
+        assert [p.tobytes() for p in points] == [p.tobytes() for p in scipy_points]
+
+    @staticmethod
+    def _assert_trstlp_matches(g, delta):
+        """The m = 0 kernel returns pyprima's ``trstlp`` step, byte for byte."""
+        pytest.importorskip("scipy._lib.pyprima")
+        from scipy._lib.pyprima.cobyla.trustregion import trstlp
+
+        from repro.baselines.cobyla import _trstlp_unconstrained
+
+        expected = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
+        d, fell_back = _trstlp_unconstrained(g, delta)
+        assert d.tobytes() == expected.tobytes()
+        return fell_back
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 40, 120, 130])
+    def test_trstlp_kernel_matches_pyprima(self, n, scale):
+        rng = np.random.default_rng([n, int(np.log10(scale)) + 10])
+        for delta in (1e-4, 0.1, 0.5):
+            self._assert_trstlp_matches(rng.normal(size=n) * scale, delta)
+
+    @pytest.mark.parametrize(
+        "g, falls_back",
+        [pytest.param(g, fb, id=name) for name, g, fb in _trstlp_edge_cases()],
+    )
+    def test_trstlp_kernel_edge_input(self, g, falls_back):
+        for delta in (1e-4, 0.5):
+            assert self._assert_trstlp_matches(g, delta) is falls_back
 
 
 class TestSpsaOptimizer:

@@ -341,6 +341,31 @@ class TestSolverIntegration:
         assert span.attributes["evaluations"] == len(calls)
         assert span.attributes["budget"] == budget
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_cobyla_span_reports_trust_region_fallbacks(self, fallback):
+        import numpy as np
+
+        from repro.baselines import optimizer
+
+        pytest.importorskip("scipy._lib.pyprima")
+        if fallback:
+            # Flat in x[1:], so the simplex gradient has exact zeros, which
+            # pyprima's general trstlp serves.
+            loss = lambda x: float((x[0] - 0.25) ** 2)
+        else:
+            target = np.array([0.3, -0.4, 0.7])
+            loss = lambda x: float(((x - target) ** 2).sum())
+        with telemetry.session() as collector:
+            optimizer.minimize_cobyla(loss, np.zeros(3), max_iterations=60)
+        (span,) = [s for s in collector.iter_spans() if s.name == "optimizer.cobyla"]
+        steps = span.attributes["tr_steps"]
+        fallbacks = span.attributes["tr_fallbacks"]
+        assert steps > 0
+        assert 0 < fallbacks <= steps if fallback else fallbacks == 0
+        assert collector.counter("optimizer.evaluations") == span.attributes[
+            "evaluations"
+        ]
+
     def test_solver_untraced_when_disabled(self, small_flp):
         from repro.core.solver import RasenganConfig, RasenganSolver
 

@@ -263,6 +263,14 @@ class TestMutationDetection:
         assert set(verdicts.values()) == {"mismatch"}, verdicts
         assert exit_code(report) == 1
 
+    def test_mutation_flips_full_only_trstlp_check(self):
+        # Not in the quick suite, so the test above does not cover it.
+        pytest.importorskip("scipy._lib.pyprima")
+        name = "trstlp-vs-pyprima"
+        with faults.session(mutation_plan(seed=7, names=[name])):
+            report = run_checks(checks_for(names=[name]), seed=7, mutated=True)
+        assert [c["verdict"] for c in report["checks"]] == ["mismatch"]
+
     def test_mutation_plan_targets_only_verify_points(self):
         plan = mutation_plan(seed=0, names=["sparse-vs-dense"])
         assert all(rule.point.startswith("verify.") for rule in plan.rules)
@@ -278,6 +286,7 @@ class TestMutationDetection:
                 "dense-ansatz-vs-circuit",
                 "segment-step-vs-reference",
                 "cobyla-vs-scipy",
+                "trstlp-vs-pyprima",
             ]
         )
         report = run_checks(checks, seed=5)
