@@ -4,9 +4,9 @@ Each baseline implements a fast dense simulation path
 (:meth:`VariationalBaseline.simulate`) used for training, and a gate-level
 circuit (:meth:`VariationalBaseline.build_circuit`) used for depth
 accounting and noisy (backend) execution.  Both run through the shared
-:class:`~repro.engine.ExecutionEngine` — the engine caches the synthesized
-ansatz and rebinds angles per COBYLA evaluation, and owns all sampling
-randomness.  Training minimises the expected penalty energy of the output
+:class:`~repro.engine.ExecutionEngine` — the engine builds the gate-level
+ansatz when a backend needs it, and owns all sampling randomness.
+Training minimises the expected penalty energy of the output
 distribution with COBYLA, matching the paper's protocol (Section 5.1).
 """
 
@@ -26,9 +26,9 @@ from repro.engine import (
     ExecutionEngine,
     check_positive_int,
     check_shots,
+    parameter_vector,
 )
 from repro.engine.registry import BackendSpec
-from repro.exceptions import SolverError
 from repro.metrics.arg import approximation_ratio_gap
 from repro.pipeline import compile_ansatz
 from repro.problems.base import ConstrainedBinaryProblem
@@ -146,18 +146,16 @@ class VariationalBaseline(abc.ABC):
         return {}
 
     def ansatz_spec(self) -> AnsatzSpec:
-        """This baseline's engine work description (content-addressed).
+        """This baseline's engine work description.
 
-        The compiled-circuit cache key comes from the pipeline's
-        encode/ansatz passes, so identical baseline instances (same
-        problem, penalty, and structure) share one synthesized ansatz in
-        the engine cache instead of each holding a process-unique key.
+        Building it runs the pipeline's encode/ansatz passes, which
+        record the ansatz's content address in the pipeline timeline.
         The spec is rebuilt if the structure changes after construction
         (e.g. a later frozen-qubit selection).
         """
         structure = self.ansatz_structure()
         if self._spec is None or self._spec_structure != structure:
-            artifact = compile_ansatz(
+            compile_ansatz(
                 self.problem,
                 self.algorithm,
                 self.num_parameters,
@@ -165,7 +163,6 @@ class VariationalBaseline(abc.ABC):
                 penalty=self.encoding.penalty,
             )
             self._spec = AnsatzSpec(
-                key=artifact.cache_key,
                 num_parameters=self.num_parameters,
                 build=self.build_circuit,
                 statevector=self.simulate,
@@ -174,7 +171,8 @@ class VariationalBaseline(abc.ABC):
         return self._spec
 
     def bound_circuit(self, parameters: np.ndarray) -> QuantumCircuit:
-        """Gate-level ansatz at ``parameters`` via the compiled cache."""
+        """Gate-level ansatz at ``parameters`` (a wrong count raises
+        ``SolverError``)."""
         return self.engine.ansatz_circuit(self.ansatz_spec(), parameters)
 
     def _parameter_vector(self, parameters: np.ndarray) -> np.ndarray:
@@ -184,12 +182,7 @@ class VariationalBaseline(abc.ABC):
             SolverError: when the count differs (extra entries would be
                 ignored silently, missing ones fail deep in numpy).
         """
-        vector = np.asarray(parameters, dtype=float).reshape(-1)
-        if vector.size != self.num_parameters:
-            raise SolverError(
-                f"expected {self.num_parameters} parameters, got {vector.size}"
-            )
-        return vector
+        return parameter_vector(parameters, self.num_parameters)
 
     def distribution(self, parameters: np.ndarray) -> Dict[int, float]:
         """Output distribution at ``parameters`` (engine-routed)."""

@@ -10,8 +10,8 @@ Three layers are covered, mirroring the execution architecture
 (``docs/ARCHITECTURE.md``):
 
 * ``micro.*`` — single hot paths: dense vs sparse statevector apply,
-  Barenco decomposition, cold/warm pipeline passes, compiled-circuit
-  rebinding, ``engine.run_batch``, the COBYLA optimizer.
+  Barenco decomposition, cold/warm pipeline passes,
+  ``engine.run_batch``, the COBYLA optimizer.
 * ``macro.*`` — end-to-end :class:`~repro.core.solver.RasenganSolver`
   solves on the five benchmark families (F1/K1/J1/S1/G1) plus one
   baseline per family through the shared experiment runner.
@@ -298,7 +298,7 @@ def _pipeline_warm_run(ctx, iteration: int):
 
 
 def _solver_context(seed: int):
-    """A compiled solver on F1 — shared by the rebind/run_batch micros."""
+    """A compiled solver on F1 for the run_batch micro."""
     from repro.core.solver import RasenganConfig, RasenganSolver
     from repro.pipeline import ArtifactCache
     from repro.problems.registry import make_benchmark
@@ -311,39 +311,8 @@ def _solver_context(seed: int):
     return solver
 
 
-def _rebind_setup(seed: int):
-    import numpy as np
-
-    from repro.simulators.seeding import make_rng
-
-    solver = _solver_context(seed)
-    rng = make_rng(seed)
-    positions = tuple(range(len(solver.schedule)))
-    # Synthesize the template once so every measured call is a pure
-    # cache-hit + rebind, the COBYLA inner-loop hot path.
-    solver.segment_circuit(positions, np.full(len(positions), 0.3))
-    times = [rng.uniform(0.05, 1.5, size=len(positions)) for _ in range(16)]
-    return {"solver": solver, "positions": positions, "times": times}
-
-
 def _close_solver(ctx) -> None:
     ctx["solver"].engine.close()
-
-
-@register_workload(
-    "micro.engine.rebind",
-    description="compiled-circuit cache rebind: 16 angle sets on one segment",
-    suites=("micro", "quick"),
-    seed=106,
-    counters=("engine.cache.hits", "engine.cache.misses"),
-    setup=_rebind_setup,
-    teardown=_close_solver,
-    inner=12,
-)
-def _rebind_run(ctx, iteration: int):
-    solver = ctx["solver"]
-    for times in ctx["times"]:
-        solver.segment_circuit(ctx["positions"], times)
 
 
 def _run_batch_setup(seed: int):

@@ -26,16 +26,13 @@ All execution goes through the unified
 exact sparse fast path (the offline counterpart of the artifact's DDSim
 path, optionally with shot sampling), any other backend spec runs the
 synthesised segment circuits gate-level.  The engine also provides the
-compiled-circuit cache (segments are synthesised once and rebound per
-COBYLA evaluation) and the optional process-pool fan-out used for
-multi-start restarts.
+optional process-pool fan-out used for multi-start restarts.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,43 +58,6 @@ from repro.simulators.seeding import SeedBank, make_rng
 
 #: Score assigned when an execution produces no feasible state at all.
 _FAILURE_SCORE = 1e9
-
-#: Names importable from this module before the pipeline refactor moved
-#: them; kept working for one release via the deprecation shim below.
-_MOVED_NAMES = {
-    "CX_PER_NONZERO": ("repro.circuits.depth", "CX_PER_NONZERO"),
-    "build_schedule": ("repro.core.prune", "build_schedule"),
-    "prune_schedule": ("repro.core.prune", "prune_schedule"),
-    "purify_probabilities": ("repro.core.purification", "purify_probabilities"),
-    "SegmentPlan": ("repro.core.segmentation", "SegmentPlan"),
-    "plan_segments": ("repro.core.segmentation", "plan_segments"),
-    "plan_segments_by_cost": ("repro.core.segmentation", "plan_segments_by_cost"),
-    "simplify_basis": ("repro.core.simplify", "simplify_basis"),
-    "augment_moves_for_connectivity": ("repro.linalg.moves", "augment_moves_for_connectivity"),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shim for pre-pipeline imports of stage internals.
-
-    ``repro.core.solver`` used to re-export the stage building blocks it
-    imported (``prune_schedule``, ``simplify_basis``, ...); they now live
-    behind :mod:`repro.pipeline` stages.  Old imports keep working for
-    one release but warn.
-    """
-    moved = _MOVED_NAMES.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr = moved
-    warnings.warn(
-        f"importing {attr!r} from repro.core.solver is deprecated since the "
-        f"pipeline refactor; import it from {module_name} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
 
 
 def _finite_real(value) -> bool:
@@ -333,23 +293,6 @@ class RasenganSolver:
         return self.engine.backend
 
     # ------------------------------------------------------------------
-    # Basis selection (deprecated — lives in the hamiltonian pass now)
-    # ------------------------------------------------------------------
-    def _choose_basis(self, raw: np.ndarray) -> np.ndarray:
-        """Deprecated: use :func:`repro.pipeline.choose_basis`."""
-        warnings.warn(
-            "RasenganSolver._choose_basis is deprecated; the selection runs "
-            "inside the pipeline's hamiltonian stage "
-            "(repro.pipeline.choose_basis)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.pipeline import choose_basis
-
-        winner, _, _ = choose_basis(raw, self.initial_bits, self.config)
-        return winner
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
@@ -370,7 +313,7 @@ class RasenganSolver:
         return self.circuit_artifact.chain_cx
 
     def segment_circuit(self, positions: Sequence[int], times: Sequence[float]):
-        """Bound gate-level circuit of one segment (engine-cached)."""
+        """Gate-level circuit of one segment at ``times``."""
         return self.engine.segment_circuit(self.chain, positions, times)
 
     # ------------------------------------------------------------------

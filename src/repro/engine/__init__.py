@@ -1,14 +1,12 @@
 """Unified execution engine (see ``docs/ARCHITECTURE.md``).
 
 * :mod:`repro.engine.registry` — backends resolved by name or instance.
-* :mod:`repro.engine.cache` — compiled-circuit cache with angle rebinding.
 * :mod:`repro.engine.core` — :class:`ExecutionEngine`: the single path
   from "algorithm wants a distribution for parameters" to "backend
   returns counts/probabilities", with batching and deterministic
   process-pool fan-out.
 """
 
-from repro.engine.cache import CircuitCache, CompiledCircuit
 from repro.engine.core import (
     AnsatzSpec,
     EngineDefaults,
@@ -19,6 +17,7 @@ from repro.engine.core import (
     configure_defaults,
     ensure_engine,
     get_defaults,
+    parameter_vector,
 )
 from repro.engine.registry import (
     EXACT_ALIASES,
@@ -30,8 +29,6 @@ from repro.engine.registry import (
 
 __all__ = [
     "AnsatzSpec",
-    "CircuitCache",
-    "CompiledCircuit",
     "EngineDefaults",
     "EngineError",
     "EXACT_ALIASES",
@@ -43,6 +40,7 @@ __all__ = [
     "configure_defaults",
     "ensure_engine",
     "get_defaults",
+    "parameter_vector",
     "register_backend",
     "resolve_backend",
 ]

@@ -7,9 +7,9 @@ probabilities".  It owns:
 * the **backend** (resolved by name through the registry, or an instance);
   ``backend=None`` selects the exact fast paths (sparse transition
   evolution for Rasengan, dense statevector for the baselines);
-* the **compiled-circuit cache** (:mod:`repro.engine.cache`): segment and
-  ansatz circuits are synthesized once per structure and rebound per
-  evaluation;
+* **gate-level circuits** for backend runs: a segment or ansatz circuit
+  is built directly from its parameters (:meth:`segment_circuit`,
+  :meth:`ansatz_circuit`); the exact fast paths never build one;
 * **batched evaluation** (:meth:`run_batch`) for optimizer restarts and
   figure sweeps;
 * the opt-in **process-pool fan-out** (:meth:`map`) for independent work
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.segmentation import allocate_shots, merge_counts
 from repro.core.transition import transition_chain_circuit
-from repro.engine.cache import CircuitCache, CompiledCircuit
 from repro.engine.registry import BackendSpec, resolve_backend
 from repro.exceptions import SolverError
 from repro.circuits.circuit import QuantumCircuit
@@ -60,34 +59,32 @@ _UNSET = object()
 @dataclass
 class EngineDefaults:
     """Process-wide defaults applied when an engine is built without
-    explicit ``workers``/``backend``/``cache`` — the hook behind the CLI's
+    explicit ``workers``/``backend`` — the hook behind the CLI's
     ``--engine-workers`` and ``--backend`` flags.
-
-    ``cache`` is the shared compiled-circuit cache: when set, every engine
-    built without an explicit cache reuses it, so identical circuit
-    structures are synthesized once *per process* instead of once per
-    engine.  The solve service installs one to amortize compilation across
-    jobs (:class:`CircuitCache` is thread-safe); ``None`` keeps the
-    historical one-private-cache-per-engine behaviour.
     """
 
     workers: int = 0
     backend: BackendSpec = None
-    cache: Optional[CircuitCache] = None
 
 
 _DEFAULTS = EngineDefaults()
 
 
-def configure_defaults(*, workers=_UNSET, backend=_UNSET, cache=_UNSET) -> EngineDefaults:
-    """Set process-wide engine defaults; returns the previous defaults."""
+def configure_defaults(*, workers=_UNSET, backend=_UNSET, cache=None) -> EngineDefaults:
+    """Set process-wide engine defaults; returns the previous defaults.
+
+    Raises:
+        TypeError: for a ``cache`` other than ``None``; the engine keeps
+            no circuit cache.
+    """
+    # ``cache=None`` stays accepted for perfbench/workloads.py's reset.
+    if cache is not None:
+        raise TypeError("the engine has no circuit cache; cache must be None")
     previous = replace(_DEFAULTS)
     if workers is not _UNSET:
         _DEFAULTS.workers = int(workers)
     if backend is not _UNSET:
         _DEFAULTS.backend = backend
-    if cache is not _UNSET:
-        _DEFAULTS.cache = cache
     return previous
 
 
@@ -116,6 +113,19 @@ def check_shots(shots, field: str) -> None:
         )
 
 
+def parameter_vector(parameters, expected: int) -> np.ndarray:
+    """``parameters`` as a float vector of exactly ``expected`` entries.
+
+    Raises:
+        SolverError: naming both counts; a builder indexing
+            ``params[2 * layer]`` would otherwise ignore extra entries.
+    """
+    vector = np.asarray(parameters, dtype=float).reshape(-1)
+    if vector.size != expected:
+        raise SolverError(f"expected {expected} parameters, got {vector.size}")
+    return vector
+
+
 def check_positive_int(value, field: str) -> None:
     """Refuse a count (iterations, restarts) that is not a positive int.
 
@@ -134,8 +144,8 @@ class TransitionChainSpec:
     """Structural description of a Rasengan transition chain.
 
     Holds the basis, the pruned schedule, and the register width; a
-    segment (a slice of schedule positions) maps to a cache key and a
-    circuit builder whose parameters are the segment's evolution times.
+    segment (a slice of schedule positions) maps to a circuit whose
+    parameters are the segment's evolution times.
     ``masks[position]`` is the :func:`~repro.linalg.moves.move_masks`
     pair of the move scheduled at ``position``, computed once here so
     the exact engine never re-derives it per evaluation.
@@ -150,27 +160,12 @@ class TransitionChainSpec:
         self.masks = tuple(
             move_masks(self.basis[index]) for index in self.schedule
         )
-        self._basis_token = (self.basis.shape, self.basis.tobytes())
-
-    def segment_key(self, positions: Sequence[int]):
-        rows = tuple(self.schedule[position] for position in positions)
-        return ("chain", self.num_qubits, rows, self._basis_token)
-
-    def segment_builder(self, positions: Sequence[int]):
-        rows = [self.schedule[position] for position in positions]
-        basis, num_qubits = self.basis, self.num_qubits
-
-        def build(times: np.ndarray) -> QuantumCircuit:
-            return transition_chain_circuit(basis, rows, list(times), num_qubits)
-
-        return build
 
 
 class AnsatzSpec:
     """Structural description of a baseline ansatz.
 
     Args:
-        key: hashable cache key, unique per circuit structure.
         num_parameters: variational parameter count.
         build: ``parameters -> QuantumCircuit`` (gate-level ansatz).
         statevector: optional ``parameters -> np.ndarray`` exact fast path
@@ -179,12 +174,10 @@ class AnsatzSpec:
 
     def __init__(
         self,
-        key,
         num_parameters: int,
         build: Callable[[np.ndarray], QuantumCircuit],
         statevector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
-        self.key = key
         self.num_parameters = int(num_parameters)
         self.build = build
         self.statevector = statevector
@@ -194,7 +187,7 @@ class AnsatzSpec:
 # The engine
 # ----------------------------------------------------------------------
 class ExecutionEngine:
-    """Cached, batched, optionally parallel circuit execution.
+    """Batched, optionally parallel circuit execution.
 
     Args:
         backend: backend name, instance, or ``None``/exact alias for the
@@ -204,14 +197,6 @@ class ExecutionEngine:
             seeding, fan-out child seeds) derives from it.
         workers: process-pool width for :meth:`map`; ``0``/``1`` = serial.
             ``None`` falls back to the process-wide default.
-        cache_size: LRU capacity of the compiled-circuit cache (ignored
-            when an explicit or default shared ``cache`` is in effect).
-        cache: compiled-circuit cache to use; ``None`` falls back to the
-            process-wide shared cache from :func:`configure_defaults` if
-            one is installed, else a private per-engine cache.  Sharing a
-            cache across engines never changes results — compiled
-            templates are pure functions of the cache key — it only skips
-            repeat synthesis.
     """
 
     def __init__(
@@ -220,20 +205,12 @@ class ExecutionEngine:
         *,
         seed: SeedLike = None,
         workers: Optional[int] = None,
-        cache_size: int = 256,
-        cache: Optional[CircuitCache] = None,
     ) -> None:
         if backend is None:
             backend = _DEFAULTS.backend
         if workers is None:
             workers = _DEFAULTS.workers
-        if cache is None:
-            cache = _DEFAULTS.cache
         self.workers = int(workers)
-        self.cache_size = int(cache_size)
-        self._cache: Optional[CircuitCache] = (
-            cache if cache is not None else CircuitCache(cache_size)
-        )
         self._pool: Optional[ProcessPoolExecutor] = None
         self._bank = SeedBank(seed)
         self._rng = self._bank.generator()
@@ -254,12 +231,6 @@ class ExecutionEngine:
         """The engine's own generator (shot sampling, measurements)."""
         return self._rng
 
-    @property
-    def cache(self) -> CircuitCache:
-        if self._cache is None:
-            self._cache = CircuitCache(self.cache_size)
-        return self._cache
-
     def reseed(self, seed: SeedLike) -> None:
         """Rebuild the whole seed tree (engine RNG + backend) from ``seed``.
 
@@ -276,7 +247,7 @@ class ExecutionEngine:
         return self._bank.spawn(count)
 
     # ------------------------------------------------------------------
-    # Compiled circuits
+    # Gate-level circuits
     # ------------------------------------------------------------------
     def segment_circuit(
         self,
@@ -284,21 +255,18 @@ class ExecutionEngine:
         positions: Sequence[int],
         times: Sequence[float],
     ) -> QuantumCircuit:
-        """Bound circuit of one chain segment, via the compiled cache."""
-        positions = tuple(positions)
-        template = self.cache.get(
-            chain.segment_key(positions),
-            chain.segment_builder(positions),
-            len(positions),
+        """Gate-level circuit of one chain segment at ``times``."""
+        times = parameter_vector(times, len(positions))
+        rows = [chain.schedule[position] for position in positions]
+        return transition_chain_circuit(
+            chain.basis, rows, list(times), chain.num_qubits
         )
-        return template.bind(times)
 
     def ansatz_circuit(
         self, spec: AnsatzSpec, parameters: Sequence[float]
     ) -> QuantumCircuit:
-        """Bound ansatz circuit, via the compiled cache."""
-        template = self.cache.get(spec.key, spec.build, spec.num_parameters)
-        return template.bind(parameters)
+        """Gate-level ansatz circuit at ``parameters``."""
+        return spec.build(parameter_vector(parameters, spec.num_parameters))
 
     # ------------------------------------------------------------------
     # Execution
@@ -316,8 +284,8 @@ class ExecutionEngine:
         """Execute one chain segment seeded from ``distribution``.
 
         Exact mode evolves a sparse state through the transition operators
-        (optionally sampling ``shots`` measurements); backend mode binds
-        the cached segment circuit once and runs it per input state with
+        (optionally sampling ``shots`` measurements); backend mode builds
+        the segment circuit once and runs it per input state with
         proportional shot allocation.  Returns the segment's raw
         (unpurified) output distribution.
         """
@@ -381,7 +349,7 @@ class ExecutionEngine:
     ) -> Dict[int, float]:
         """Output distribution of an ansatz at ``parameters``.
 
-        Backend mode runs the cached bound circuit; exact mode uses the
+        Backend mode runs the gate-level circuit; exact mode uses the
         spec's dense fast path (or simulates the bound circuit) and
         samples only when ``shots`` is given.
         """
@@ -506,11 +474,9 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
-        # The pool is process-local and the cache holds unpicklable
-        # builder closures; both rebuild lazily.  Unpickled engines run
-        # serially — pool workers must never spawn nested pools.
+        # The pool is process-local.  Unpickled engines run serially —
+        # pool workers must never spawn nested pools.
         state["_pool"] = None
-        state["_cache"] = None
         state["workers"] = 0
         return state
 

@@ -80,8 +80,8 @@ def runner_telemetry_summary(
 
 
 def _baseline_depths(algo, parameters) -> tuple[int, int]:
-    # The engine's compiled cache rebinds the already-synthesized ansatz,
-    # and both depth metrics share one {1q, CX} decomposition.
+    # One gate-level build at the trained parameters; both depth metrics
+    # share its {1q, CX} decomposition.
     circuit = algo.bound_circuit(parameters)
     flat = decompose_circuit(circuit)
     return (

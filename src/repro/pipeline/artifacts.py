@@ -215,9 +215,9 @@ class SegmentationArtifact(Artifact):
 class CircuitArtifact(Artifact):
     """Output of the circuit pass: synthesis-derived depth accounting.
 
-    The gate-level segment circuits themselves stay in the engine's
-    compiled-circuit cache (they embed builder closures); this artifact
-    records what downstream consumers actually read off them — per-segment
+    The gate-level segment circuits themselves are not kept (the engine
+    builds them per backend evaluation); this artifact records what
+    downstream consumers actually read off them — per-segment
     decomposed depth, decomposed two-qubit depth, and the linear
     ``34 k`` CX-cost model — all independent of the evolution times.
 
@@ -282,27 +282,19 @@ class CircuitArtifact(Artifact):
 class AnsatzArtifact(Artifact):
     """Output of the baseline ansatz pass: a content-addressed identity.
 
-    The baselines' engine work description
-    (:class:`~repro.engine.AnsatzSpec`) historically used a process-unique
-    counter as its compiled-circuit cache key, so two identical baseline
-    instances never shared a synthesized ansatz.  This artifact replaces
-    the counter with a fingerprint of (problem, algorithm, structural
-    config), making the cache key a pure function of the ansatz structure.
+    Its fingerprint hashes (problem, penalty, algorithm, structural
+    config), so identical baseline instances resolve to one artifact and
+    a service job's pipeline timeline names the ansatz it trained.
 
     Attributes:
         algorithm: baseline identifier (``hea`` / ``pqaoa`` / ``chocoq``).
         num_parameters: variational parameter count.
-        cache_key: the engine compiled-circuit cache key.
     """
 
     algorithm: str
     num_parameters: int
 
     kind = "ansatz"
-
-    @property
-    def cache_key(self) -> Tuple[str, str]:
-        return ("ansatz", self.fingerprint)
 
     def to_payload(self):
         meta = {

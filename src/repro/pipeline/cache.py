@@ -5,10 +5,9 @@ fingerprint, every upstream stage fingerprint, and the stage's config
 slice — so a lookup either misses or returns an artifact that is
 interchangeable with what the stage would have computed.  Sharing one
 cache across solvers, threads, or service jobs therefore never changes
-results; it only skips recomputation (the same argument as the engine's
-:class:`~repro.engine.cache.CircuitCache`, and the same thread-safety
-contract: all bookkeeping happens under an internal lock, and artifacts
-are immutable values).
+results; it only skips recomputation.  It is thread-safe: all
+bookkeeping happens under an internal lock, and artifacts are immutable
+values.
 
 With a ``spill_dir`` the cache additionally persists every stored
 artifact as ``<fingerprint>.npz`` (arrays + a JSON meta record) and

@@ -254,8 +254,8 @@ def compile_ansatz(
     config slice: the penalty coefficient) feeds ``ansatz`` (the circuit
     structure — config slice: everything structural, e.g. layer count,
     frozen qubits, Trotterisation).  The resulting
-    :class:`~repro.pipeline.artifacts.AnsatzArtifact` carries the
-    content-addressed compiled-circuit cache key.
+    :class:`~repro.pipeline.artifacts.AnsatzArtifact` is the ansatz's
+    content-addressed identity.
     """
     cache = cache if cache is not None else get_default_cache()
     problem_fp = resolve_problem_fingerprint(problem)

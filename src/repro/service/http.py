@@ -56,6 +56,11 @@ _SUBMIT_KEYS = (
 )
 
 
+#: Largest request body the server reads.  A registry submission is under
+#: 200 bytes; an inline problem payload is a few KiB.
+MAX_BODY_BYTES = 1 << 20
+
+
 class _ApiError(Exception):
     """Internal: maps straight to an HTTP error response."""
 
@@ -112,6 +117,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -125,7 +132,28 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The JSON object in the request body (``{}`` when empty).
+
+        A negative or non-integer ``Content-Length`` answers 400 and one
+        above :data:`MAX_BODY_BYTES` answers 413, both without reading
+        the body; the connection then closes, since the unread bytes
+        cannot be told apart from a next request.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise _ApiError(400, f"invalid Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _ApiError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -12,11 +12,9 @@ HTTP API (:mod:`repro.service.http`) and direct Python embedding:
   :class:`~repro.core.solver.RasenganSolver` per attempt, so a service
   result is bit-for-bit identical to a direct ``solve`` run with the
   same spec;
-* a process-wide shared compiled-circuit cache
-  (:func:`repro.engine.configure_defaults`) is installed for the
-  service's lifetime, so identical submissions amortize circuit
-  synthesis even when dedup cannot coalesce them (e.g. back-to-back
-  rather than concurrent);
+* a process-wide pipeline artifact cache is installed for the service's
+  lifetime, so identical submissions share compile work even when dedup
+  cannot coalesce them (e.g. back-to-back rather than concurrent);
 * :meth:`close` supports both graceful drain (finish everything queued)
   and fast shutdown (cancel queued jobs, finish only what is running) —
   either way every worker thread is joined under one shared ``timeout``
@@ -54,7 +52,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro import faults, telemetry
 
 _LOG = logging.getLogger("repro.service")
-from repro.engine import CircuitCache, configure_defaults
 from repro.faults import WorkerCrash
 from repro.pipeline import ArtifactCache, capture_report, configure_cache
 from repro.problems.io import problem_from_dict, problem_to_dict
@@ -109,9 +106,6 @@ class SolverService:
         sleep: retry-backoff sleep function (injectable for tests).
             ``None`` — the default — uses a cancellation-aware wait that
             wakes as soon as the job is cancelled.
-        shared_cache_size: capacity of the process-wide compiled-circuit
-            cache installed while the service runs; ``0`` disables
-            sharing.
         artifact_cache_size: capacity of the process-wide pipeline
             :class:`~repro.pipeline.cache.ArtifactCache` installed while
             the service runs — jobs over the same problem coalesce at
@@ -140,7 +134,6 @@ class SolverService:
         store: Optional[ResultStore] = None,
         runner: Optional[JobRunner] = None,
         sleep: Optional[Callable[[float], None]] = None,
-        shared_cache_size: int = 512,
         artifact_cache_size: int = 256,
         artifact_spill_dir: Optional[str] = None,
         max_jobs: int = 4096,
@@ -164,7 +157,6 @@ class SolverService:
         )
         self._runner = runner if runner is not None else default_runner
         self._sleep = sleep
-        self._shared_cache_size = int(shared_cache_size)
         self._artifact_cache_size = int(artifact_cache_size)
         self._artifact_spill_dir = artifact_spill_dir
         self._previous_artifact_cache: Optional[ArtifactCache] = None
@@ -174,7 +166,6 @@ class SolverService:
         self._threads_lock = threading.Lock()
         self._running_count = 0
         self._idle = threading.Condition()
-        self._previous_defaults = None
         self._started = False
         self._closed = False
         self.started_at = time.time()
@@ -183,15 +174,11 @@ class SolverService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "SolverService":
-        """Install the shared circuit cache and spawn the worker pool."""
+        """Install the shared artifact cache and spawn the worker pool."""
         if self._started:
             return self
         if self._closed:
             raise ServiceError("service already closed")
-        if self._shared_cache_size > 0:
-            self._previous_defaults = configure_defaults(
-                cache=CircuitCache(self._shared_cache_size)
-            )
         if self._artifact_cache_size > 0:
             self._previous_artifact_cache = configure_cache(
                 ArtifactCache(
@@ -254,9 +241,6 @@ class SolverService:
             thread.join(remaining)
         with self._threads_lock:
             self._threads = [t for t in self._threads if t.is_alive()]
-        if self._previous_defaults is not None:
-            configure_defaults(cache=self._previous_defaults.cache)
-            self._previous_defaults = None
         if self._previous_artifact_cache is not None:
             configure_cache(self._previous_artifact_cache)
             self._previous_artifact_cache = None

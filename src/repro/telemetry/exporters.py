@@ -46,7 +46,7 @@ def sanitize_metric_name(name: str) -> str:
 
     Dots (the repo's namespace separator) and any other invalid character
     become underscores; a leading digit gets an underscore prefix.
-    ``engine.cache.hits`` -> ``engine_cache_hits``.
+    ``pipeline.cache.hits`` -> ``pipeline_cache_hits``.
     """
     sanitized = _INVALID_METRIC_CHARS.sub("_", name)
     if not sanitized or sanitized[0].isdigit():

@@ -356,7 +356,7 @@ class TestCaptureReport:
 
 
 class TestAnsatzCompilation:
-    def test_identical_structures_share_a_cache_key(self):
+    def test_identical_structures_share_a_fingerprint(self):
         problem = small_problem()
         cache = ArtifactCache()
         a = compile_ansatz(
@@ -365,7 +365,7 @@ class TestAnsatzCompilation:
         b = compile_ansatz(
             problem, "hea", 10, {"layers": 2}, penalty=10.0, cache=cache
         )
-        assert a.cache_key == b.cache_key
+        assert a.fingerprint == b.fingerprint
         assert cache.hits == 1
 
     def test_structure_and_penalty_are_part_of_the_identity(self):
@@ -380,46 +380,10 @@ class TestAnsatzCompilation:
         repriced = compile_ansatz(
             problem, "hea", 10, {"layers": 2}, penalty=20.0, cache=cache
         )
-        assert len({base.cache_key, deeper.cache_key, repriced.cache_key}) == 3
-
-    def test_baseline_instances_share_the_engine_cache_key(self):
-        from repro.baselines.hea import HardwareEfficientAnsatz
-
-        problem = small_problem()
-        a = HardwareEfficientAnsatz(problem, layers=2, seed=0)
-        b = HardwareEfficientAnsatz(problem, layers=2, seed=5)
-        assert a.ansatz_spec().key == b.ansatz_spec().key
-        c = HardwareEfficientAnsatz(problem, layers=3, seed=0)
-        assert c.ansatz_spec().key != a.ansatz_spec().key
-
-
-class TestDeprecationShims:
-    def test_moved_names_still_import_with_a_warning(self):
-        import repro.core.solver as solver_module
-
-        from repro.core.prune import prune_schedule
-        from repro.core.simplify import simplify_basis
-
-        with pytest.warns(DeprecationWarning, match="prune_schedule"):
-            assert solver_module.prune_schedule is prune_schedule
-        with pytest.warns(DeprecationWarning, match="simplify_basis"):
-            assert solver_module.simplify_basis is simplify_basis
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.solver as solver_module
-
-        with pytest.raises(AttributeError):
-            solver_module.definitely_not_a_name
-
-    def test_choose_basis_method_warns_and_matches(self):
-        solver = RasenganSolver(
-            small_problem(),
-            config=RasenganConfig(seed=0),
-            artifact_cache=ArtifactCache(),
+        assert (
+            len({base.fingerprint, deeper.fingerprint, repriced.fingerprint})
+            == 3
         )
-        with pytest.warns(DeprecationWarning, match="_choose_basis"):
-            winner = solver._choose_basis(solver.problem.homogeneous_basis)
-        np.testing.assert_array_equal(winner, solver.basis)
 
 
 class TestServiceTimeline:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -187,6 +188,45 @@ class TestJobRoutes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
+
+    @staticmethod
+    def _post_headers_only(server, content_length):
+        """Send ``POST /jobs`` headers on a kept-open connection, no body;
+        return the raw response (the server must answer without reading)."""
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                (
+                    "POST /jobs HTTP/1.1\r\n"
+                    f"Host: {host}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {content_length}\r\n\r\n"
+                ).encode()
+            )
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks).decode()
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc", "1.5"])
+    def test_invalid_content_length_400(self, live_service, content_length):
+        service, server, _, _ = live_service
+        response = self._post_headers_only(server, content_length)
+        assert response.startswith("HTTP/1.1 400")
+        assert "Content-Length" in response.split("\r\n\r\n", 1)[1]
+        assert service.jobs() == []
+
+    def test_oversized_body_413(self, live_service):
+        service, server, client, _ = live_service
+        limit = 1 << 20
+        response = self._post_headers_only(server, limit + 1)
+        assert response.startswith("HTTP/1.1 413")
+        assert f"{limit}-byte limit" in response
+        assert service.jobs() == []
+        assert client.health()["status"] == "ok"
 
     def test_bad_submission_field_400(self, live_service):
         _, _, client, _ = live_service

@@ -161,7 +161,7 @@ class TestCollectorMerge:
 
 class TestPrometheusExport:
     def test_sanitize_metric_name(self):
-        assert sanitize_metric_name("engine.cache.hits") == "engine_cache_hits"
+        assert sanitize_metric_name("pipeline.cache.hits") == "pipeline_cache_hits"
         assert sanitize_metric_name("9lives") == "_9lives"
         assert sanitize_metric_name("a-b c") == "a_b_c"
         assert sanitize_metric_name("ok_name:sub") == "ok_name:sub"
