@@ -14,10 +14,6 @@ wall-clock as its single sample, the full counter table, and the
 per-histogram quantile payloads as an extra field) — the same artifact
 format ``python -m repro bench run`` emits, so figure benchmarks and the
 bench suites feed one comparison engine (``docs/BENCHMARKS.md``).
-
-Compatibility: the pre-schema filename ``BENCH_<test>.json`` is kept for
-one release as an alias holding identical schema content; readers should
-migrate to ``<test>.bench.json``.
 """
 
 from __future__ import annotations
@@ -104,8 +100,3 @@ def bench_telemetry(request):
     )
     canonical = TELEMETRY_DIR / f"{safe_name}.bench.json"
     bench_schema.write_report(bench_report, str(canonical))
-    # Legacy alias (pre-schema name), kept for one release: same schema
-    # content under the old BENCH_<test>.json filename.
-    (TELEMETRY_DIR / f"BENCH_{safe_name}.json").write_text(
-        canonical.read_text()
-    )

@@ -2,42 +2,71 @@
 
 Every optimizer call in this package is unconstrained (m = 0).  SciPy
 >= 1.16 runs COBYLA as ``scipy._lib.pyprima``, a Python port of PRIMA,
-whose main loop still pays for the constraint machinery at m = 0.  This
-module runs the same loop on the same pyprima helpers (``trstlp``,
-``updatexfc``, ``setdrop_tr``, ``geostep``, ...) and drops only work
-that cannot change a result when there are no constraints:
+whose helpers pay for the constraint machinery at m = 0.  This module
+runs the same loop and gives the same bits: every evaluated point, in
+order, and the returned ``x`` equal ``scipy.optimize.minimize(method=
+"COBYLA")``'s, and the ``cobyla-vs-scipy`` verify check holds the two
+to that.
 
-* ``getcpen`` works on copies of the simplex, so it has no side effects.
-  With no constraints the predicted constraint reduction is
-  ``cval[n] - max(0, ∅) = 0``, so its loop breaks on the first pass and
-  it returns the penalty it was given.  It still costs an ``updatepole``
-  and a ``trstlp`` per trust-region step.
-* ``fcratio`` returns 0 for an empty constraint matrix, so the penalty
-  stays ``EPS`` at the start and at every reduction of rho.
-* The constraint gradients ``A`` are an ``n x 0`` matrix and every
-  constraint violation is ``max(0, ∅) = 0``.
-* ``savehist`` and the ``fmsg``/``rhomsg``/``retmsg`` printers: the
-  history is never returned and ``iprint`` is 0.
-* The ``scipy.optimize.minimize`` and pyprima ``minimize`` front ends:
-  bound and constraint processing and the projection of ``x0`` are
-  no-ops without bounds or constraints.
+What runs here, and why each simplification is exact at m = 0:
 
-The trust-region step itself runs in :func:`_trstlp_unconstrained`,
-``trstlp`` reduced to m = 0 with the same bits; ``trstlp`` serves the
-inputs outside its fast path.
+* **No penalty update.**  ``getcpen`` works on copies of the simplex;
+  with no constraints the predicted constraint reduction is
+  ``cval[n] - max(0, ∅) = 0``, so it returns the penalty it was given.
+  ``fcratio`` returns 0 for an empty constraint matrix, so the penalty
+  stays ``cpen = EPS``.  Every constraint violation is ``max(0, ∅) = 0``,
+  so the merit function ``f + cpen * cstrv`` is ``f + 0.0``.
+* **The pole** (:func:`_findpole`, :func:`_updatepole`).  With every
+  ``cval`` zero, ``findpole`` keeps ``jopt = n`` unless
+  ``fval.min() < fval[n]``, and then takes the first ``argmin``; its
+  masked-array ``argmin`` over ``cval`` and the ``conmat``/``cval``
+  swaps are dead.  The pole shift, the ``erri`` test of ``simi`` and the
+  ``inv`` repair are pyprima's.  ``cobylb`` calls ``updatepole`` at the
+  head of every trust-region step and after every reduction of rho;
+  only the first call can change anything (the argument is in
+  :func:`minimize_unconstrained`).
+* **The simplex update** (:func:`_updatexfc`): both rank-one branches
+  as pyprima writes them, including the builtin ``sum`` of one branch
+  and the aliasing of ``sim_old = sim``.
+* **The point to drop and the geometry step** (:func:`_setdrop_tr`,
+  :func:`_geostep`).  ``geostep``'s constraint terms ``cvpd`` and
+  ``cvnd`` are ``max(0, ∅) = 0``.
+* **Evaluation** (:meth:`_Objective.value`): ``moderatex``'s clip of
+  ``x`` to ``±REALMAX`` and ``moderatef``'s clip of ``f`` to
+  ``FUNCMAX``; ``moderatec`` has no constraint to moderate.
+* **The break test** (:func:`_checkbreak`): the budget, then a NaN
+  ``f``, then a non-finite ``x``, in ``checkbreak_con``'s precedence;
+  the target test needs ``f <= -inf``, which a moderated ``f`` never
+  meets.
+* **The filter.**  With every ``cstrv = 0``, ``savefilt`` keeps exactly
+  one point: the first, in its call order, that reaches the lowest
+  ``f``.  (pyprima's ``isbetter`` ranks a NaN ``f``, which only a NaN
+  ``x`` gives, above any number, and ``selectx`` takes the last of
+  several NaNs.)  The driver keeps that ``(fbest, xbest)`` pair.
+* **The trust-region step** (:func:`_trstlp_unconstrained`): ``trstlp``
+  reduced to m = 0; ``trstlp`` serves the inputs outside its fast path.
+* **Dropped outright**: ``savehist`` and the ``fmsg``/``rhomsg``/
+  ``retmsg`` printers (the history is never returned and ``iprint`` is
+  0), and the front ends' bound and constraint processing.
 
-What is kept is what scipy's ``ScalarFunction`` does around the loss
-(see :class:`_Objective`) and ``cobyla()``'s option derivation through
-``preproc``.  Every evaluated point, in order, and the returned ``x``
-are bit-identical to ``scipy.optimize.minimize(method="COBYLA")``; the
-``cobyla-vs-scipy`` verify check holds the two to that.
+Reductions keep pyprima's order: ``np.sum`` where it calls
+``primasum``, ``x * x`` where it calls ``primapow2``, and numpy's
+``dot``, ``@``, ``outer``, ``linalg.norm`` and ``linalg.inv`` where it
+calls ``inprod``, ``matprod``, ``outprod``, ``norm`` and ``inv``.
+What scipy's ``ScalarFunction`` does around the loss is kept too (see
+:class:`_Objective`).
 
-Importing this module raises :class:`ImportError` on a scipy without
-pyprima; :mod:`repro.baselines.optimizer` then calls scipy instead.
+Still taken from pyprima: ``cobyla()``'s option derivation through
+``preproc``; the radius updates ``trrad``, ``redrat`` and ``redrho``;
+``trstlp`` as the kernel's fallback; and the constants.  Importing this
+module raises :class:`ImportError` on a scipy without pyprima;
+:mod:`repro.baselines.optimizer` then calls scipy instead.
 
-The control flow of :func:`minimize_unconstrained` is adapted from
-``cobylb`` in PRIMA (https://github.com/libprima/prima), as translated
-to Python by Nickolai Belakovski for ``scipy._lib.pyprima``:
+The control flow of :func:`minimize_unconstrained` and of the helpers
+is adapted from ``cobylb``, ``initialize``, ``update``, ``geometry``,
+``evaluate``, ``checkbreak`` and ``selectx`` in PRIMA
+(https://github.com/libprima/prima), as translated to Python by
+Nickolai Belakovski for ``scipy._lib.pyprima``:
 
     Copyright (c) Zaikun Zhang (www.zhangzk.net).  All rights reserved.
 
@@ -70,37 +99,34 @@ to Python by Nickolai Belakovski for ``scipy._lib.pyprima``:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Tuple
+import math
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy._lib.pyprima.cobyla.geometry import geostep, setdrop_tr
-from scipy._lib.pyprima.cobyla.initialize import initfilt, initxfc
 from scipy._lib.pyprima.cobyla.trustregion import trrad, trstlp
-from scipy._lib.pyprima.cobyla.update import updatepole, updatexfc
-from scipy._lib.pyprima.common.checkbreak import checkbreak_con
 from scipy._lib.pyprima.common.consts import (
     CWEIGHT_DEFAULT,
     EPS,
     ETA1_DEFAULT,
+    FUNCMAX,
     GAMMA1_DEFAULT,
     GAMMA2_DEFAULT,
     MAXFUN_DIM_DEFAULT,
     REALMAX,
     REALMIN,
 )
-from scipy._lib.pyprima.common.evaluate import evaluate, moderatef
 from scipy._lib.pyprima.common.infos import (
     DAMAGING_ROUNDING,
     INFO_DEFAULT,
     MAXFUN_REACHED,
     MAXTR_REACHED,
+    NAN_INF_F,
+    NAN_INF_X,
     SMALL_TR_RADIUS,
 )
-from scipy._lib.pyprima.common.linalg import inprod, matprod, norm, primapow2, primasum
 from scipy._lib.pyprima.common.preproc import preproc
 from scipy._lib.pyprima.common.ratio import redrat
 from scipy._lib.pyprima.common.redrho import redrho
-from scipy._lib.pyprima.common.selectx import savefilt, selectx
 
 from repro.baselines.optimizer import check_finite_loss
 
@@ -115,6 +141,12 @@ STOP_REASONS = {
     DAMAGING_ROUNDING: "damaging_rounding",
     MAXTR_REACHED: "max_tr_steps",
 }
+
+#: The penalty parameter: ``getcpen`` and ``fcratio`` never move it at m = 0.
+_CPEN = EPS
+
+#: ``updatepole``'s and ``updatexfc``'s tolerance on ``simi @ sim - I``.
+_ITOL = 1
 
 _NO_CONSTRAINTS = np.zeros(0)
 
@@ -149,13 +181,13 @@ class _Objective:
     def __init__(self, loss: Callable[[np.ndarray], float], x0: np.ndarray):
         self.loss = loss
         self.calls = 0
-        self.x = None
         self.f = None
-        self._evaluate(x0)
+        self._call(np.array(x0, dtype=float))
 
-    def _evaluate(self, x: np.ndarray) -> None:
-        self.x = np.array(x, dtype=float)
-        fx = self.loss(np.copy(self.x))
+    def _call(self, x: np.ndarray) -> None:
+        """Call the loss at ``x``, which this object then owns."""
+        self.x = x
+        fx = self.loss(np.copy(x))
         self.calls += 1
         if not np.isscalar(fx):
             try:
@@ -168,10 +200,32 @@ class _Objective:
         check_finite_loss(fx, self.calls)
         self.f = fx
 
-    def __call__(self, x: np.ndarray):
-        if not np.array_equal(x, self.x):
-            self._evaluate(x)
-        return self.f, _NO_CONSTRAINTS
+    def value(self, x: np.ndarray) -> float:
+        """PRIMA's ``evaluate`` at m = 0: the moderated loss at ``x``.
+
+        A NaN in ``x`` gives ``f = sum(x)`` without calling the loss, as
+        in pyprima.  Otherwise the loss sees ``x`` clipped to
+        ``±REALMAX`` (``moderatex``, a copy), through the memo.
+        """
+        if np.isnan(x).any():
+            return np.sum(x)
+        x = np.clip(x, -REALMAX, REALMAX)
+        # np.array_equal on two n-vectors, as scipy's memo compares them.
+        if not (x == self.x).all():
+            self._call(x)
+        return _moderatef(self.f)
+
+
+def _moderatef(f) -> float:
+    """``moderatef`` of a finite value: values above ``FUNCMAX`` become it.
+
+    pyprima's ``np.clip`` runs only where it changes the value; ``float``
+    then stores what pyprima's ``float64`` arrays would (an integer
+    rounds once, a ``float32`` converts exactly).
+    """
+    if f <= FUNCMAX:
+        return float(f)
+    return float(np.clip(f, -REALMAX, FUNCMAX))
 
 
 def minimize_unconstrained(
@@ -186,20 +240,20 @@ def minimize_unconstrained(
     options={"maxiter": maxfun, "rhobeg": rhobeg})``, including every
     point handed to ``loss``.
     """
-    calcfc = _Objective(loss, x0)
+    objective = _Objective(loss, x0)
     num_vars = x0.size
     eta1 = ETA1_DEFAULT
     (
-        iprint,
+        _,
         maxfun,
-        maxhist,
-        ftarget,
+        _,
+        _,
         rhobeg,
         rhoend,
         _,
-        maxfilt,
-        ctol,
-        cweight,
+        _,
+        _,
+        _,
         eta1,
         eta2,
         gamma1,
@@ -227,83 +281,78 @@ def minimize_unconstrained(
         is_constrained=False,
     )
     x = np.array(x0, dtype=float)
-    f = moderatef(calcfc.f)
-    constr = _NO_CONSTRAINTS
-    cstrv = 0.0  # max(0, ∅): with no constraints nothing is ever violated
-
-    evaluated, conmat, cval, sim, simi, fval, nf, subinfo = initxfc(
-        calcfc, iprint, maxfun, constr, None, None, ctol, f, ftarget,
-        rhobeg, x, [], [], [], [], maxhist,
+    sim, simi, fval, evaluated, info = _initxfc(
+        objective, maxfun, _moderatef(objective.f), rhobeg, x
     )
-    cfilt = np.zeros(min(max(maxfilt, 1), maxfun))
-    confilt = np.zeros((0, cfilt.size))
-    ffilt = np.zeros(cfilt.size)
-    xfilt = np.zeros((num_vars, cfilt.size))
-    nfilt = initfilt(
-        conmat, ctol, cweight, cval, fval, sim, evaluated, cfilt, confilt,
-        ffilt, xfilt,
-    )
-    if subinfo != INFO_DEFAULT:
-        kopt = selectx(ffilt[:nfilt], cfilt[:nfilt], cweight, ctol)
-        return _finish(xfilt[:, kopt], calcfc, subinfo)
+    nf = int(np.count_nonzero(evaluated))
+    fbest, xbest = _initfilt(sim, fval, evaluated)
+    if info != INFO_DEFAULT:
+        return _finish(xbest, objective, info)
 
     distsq = np.zeros(num_vars + 1)
     rho = rhobeg
     delta = rhobeg
-    cpen = EPS  # fcratio is 0 without constraints: cpen = max(EPS, min(1e3, 0))
-    prerec = 0.0  # cval[n] - max(0, ∅), whatever the step
     shortd = False
     ratio = -1
     jdrop_tr = 0
     gamma3 = np.maximum(1, np.minimum(0.75 * gamma2, 1.5))
     maxtr = 10 * maxfun
-    info = MAXTR_REACHED
     tr_steps = tr_fallbacks = 0
-    # As in cobylb, ``d`` is first bound by the trust-region step; a
-    # break before the first step would leave it unbound there too.
+    # cobylb calls updatepole at the head of every trust-region step and
+    # after every reduction of rho.  Only this first call can change
+    # anything.  The penalty never changes (_CPEN), and from here on
+    # sim, simi and fval change only in _updatexfc, which leaves the
+    # lowest f at the pole (jopt = n) and a simi that passed the erri
+    # test against the same sim.  The later calls would repeat that
+    # test on unchanged arrays: no switch, no repair, no DAMAGING_ROUNDING.
+    sim, simi, info = _updatepole(sim, simi, fval)
+    if info == DAMAGING_ROUNDING:
+        # cobylb would reach its final step with d unbound and raise.
+        return _finish(xbest, objective, info)
+    info = MAXTR_REACHED
     for _ in range(maxtr):
-        conmat, cval, fval, sim, simi, subinfo = updatepole(
-            cpen, conmat, cval, fval, sim, simi
-        )
-        if subinfo == DAMAGING_ROUNDING:
-            info = subinfo
-            break
-        adequate_geo = all(
-            primasum(primapow2(sim[:, :num_vars]), axis=0) <= 4 * primapow2(delta)
-        )
-        g = matprod((fval[:num_vars] - fval[num_vars]), simi)
+        column_sq = np.sum(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
+        adequate_geo = (column_sq <= 4 * (delta * delta)).all()
+        g = (fval[:num_vars] - fval[num_vars]) @ simi
         d, fell_back = _trstlp_unconstrained(g, delta)
         tr_steps += 1
         tr_fallbacks += fell_back
-        dnorm = min(delta, norm(d))
+        dnorm = min(delta, np.linalg.norm(d))
         shortd = dnorm <= 0.1 * rho
-        preref = -inprod(d, g)
-        prerem = preref + cpen * prerec
-        trfail = not (prerem > 1.0e-6 * min(cpen, 1) * rho)
+        preref = -np.dot(d, g)
+        prerem = preref + 0.0  # + cpen * prerec, and prerec = cval[n] - 0 = 0
+        trfail = not (prerem > 1.0e-6 * min(_CPEN, 1) * rho)
         if shortd or trfail:
             delta *= 0.1
             if delta <= gamma3 * rho:
                 delta = rho
         else:
             x = sim[:, num_vars] + d
-            f, constr, nf, nfilt = _evaluate_near(
-                calcfc, x, sim, fval, conmat, distsq, rhoend, nf,
-                nfilt, ctol, cweight, cfilt, ffilt, xfilt, confilt,
-            )
-            actrem = (fval[num_vars] + cpen * cval[num_vars]) - (f + cpen * cstrv)
+            f, fresh = _evaluate_near(objective, x, sim, fval, distsq, rhoend)
+            if fresh:
+                nf += 1
+                if f < fbest or math.isnan(f):
+                    fbest, xbest = f, x
+            # The merit function f + cpen * cstrv, with every cstrv = 0.
+            actrem = (fval[num_vars] + 0.0) - (f + 0.0)
             ratio = redrat(actrem, prerem, eta1)
             delta = trrad(delta, dnorm, eta1, eta2, gamma1, gamma2, ratio)
             if delta <= gamma3 * rho:
                 delta = rho
             ximproved = actrem > 0
-            jdrop_tr = setdrop_tr(ximproved, d, delta, rho, sim, simi)
-            sim, simi, fval, conmat, cval, subinfo = updatexfc(
-                jdrop_tr, constr, cpen, cstrv, d, f, conmat, cval, fval, sim, simi
-            )
-            if subinfo == DAMAGING_ROUNDING:
-                info = subinfo
-                break
-            subinfo = checkbreak_con(maxfun, nf, cstrv, ctol, f, ftarget, x)
+            jdrop_tr = _setdrop_tr(ximproved, d, delta, rho, sim, simi)
+            # jdrop_tr is None only when no score is positive: simi @ d
+            # is all zero or NaN, which an invertible simi and a step
+            # that passed trfail (d != 0) never give.  PRIMA then keeps
+            # the simplex.  (pyprima's updatexfc returns its arrays in
+            # another order there, which its next updatepole could not
+            # use.)
+            if jdrop_tr is not None:
+                sim, simi, subinfo = _updatexfc(jdrop_tr, d, f, fval, sim, simi)
+                if subinfo == DAMAGING_ROUNDING:
+                    info = subinfo
+                    break
+            subinfo = _checkbreak(maxfun, nf, f, x)
             if subinfo != INFO_DEFAULT:
                 info = subinfo
                 break
@@ -312,29 +361,25 @@ def minimize_unconstrained(
         improve_geo = bad_trstep and not adequate_geo
         reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
 
-        if improve_geo and not all(
-            primasum(primapow2(sim[:, :num_vars]), axis=0) <= 4 * primapow2(delta)
-        ):
-            jdrop_geo = np.argmax(
-                primasum(primapow2(sim[:, :num_vars]), axis=0), axis=0
-            )
-            delbar = delta / 2
-            d = geostep(jdrop_geo, None, None, conmat, cpen, cval, delbar, fval, simi)
-            x = sim[:, num_vars] + d
-            f, constr, nf, nfilt = _evaluate_near(
-                calcfc, x, sim, fval, conmat, distsq, rhoend, nf,
-                nfilt, ctol, cweight, cfilt, ffilt, xfilt, confilt,
-            )
-            sim, simi, fval, conmat, cval, subinfo = updatexfc(
-                jdrop_geo, constr, cpen, cstrv, d, f, conmat, cval, fval, sim, simi
-            )
-            if subinfo == DAMAGING_ROUNDING:
-                info = subinfo
-                break
-            subinfo = checkbreak_con(maxfun, nf, cstrv, ctol, f, ftarget, x)
-            if subinfo != INFO_DEFAULT:
-                info = subinfo
-                break
+        if improve_geo:
+            column_sq = np.sum(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
+            if not (column_sq <= 4 * (delta * delta)).all():
+                jdrop_geo = np.argmax(column_sq, axis=0)
+                d = _geostep(jdrop_geo, delta / 2, fval, simi)
+                x = sim[:, num_vars] + d
+                f, fresh = _evaluate_near(objective, x, sim, fval, distsq, rhoend)
+                if fresh:
+                    nf += 1
+                    if f < fbest or math.isnan(f):
+                        fbest, xbest = f, x
+                sim, simi, subinfo = _updatexfc(jdrop_geo, d, f, fval, sim, simi)
+                if subinfo == DAMAGING_ROUNDING:
+                    info = subinfo
+                    break
+                subinfo = _checkbreak(maxfun, nf, f, x)
+                if subinfo != INFO_DEFAULT:
+                    info = subinfo
+                    break
 
         if reduce_rho:
             if rho <= rhoend:
@@ -342,28 +387,290 @@ def minimize_unconstrained(
                 break
             delta = max(0.5 * rho, redrho(rho, rhoend))
             rho = redrho(rho, rhoend)
-            conmat, cval, fval, sim, simi, subinfo = updatepole(
-                cpen, conmat, cval, fval, sim, simi
-            )
-            if subinfo == DAMAGING_ROUNDING:
-                info = subinfo
-                break
+            # cobylb's updatepole here is a no-op (see above).
 
     # cobylb's final step: try the last trust-region step if it was short.
     x = sim[:, num_vars] + d
     if (
         info == SMALL_TR_RADIUS
         and shortd
-        and norm(x - sim[:, num_vars]) > 1.0e-3 * rhoend
+        and np.linalg.norm(x - sim[:, num_vars]) > 1.0e-3 * rhoend
         and nf < maxfun
     ):
-        f, constr = evaluate(calcfc, x, 0, None, None)
+        f = objective.value(x)
         nf += 1
-        nfilt, cfilt, ffilt, xfilt, confilt = savefilt(
-            cstrv, ctol, cweight, f, x, nfilt, cfilt, ffilt, xfilt, constr, confilt
-        )
-    kopt = selectx(ffilt[:nfilt], cfilt[:nfilt], max(cpen, cweight), ctol)
-    return _finish(xfilt[:, kopt], calcfc, info, tr_steps, tr_fallbacks)
+        if f < fbest or math.isnan(f):
+            fbest, xbest = f, x
+    return _finish(xbest, objective, info, tr_steps, tr_fallbacks)
+
+
+def _initxfc(
+    objective: _Objective, maxfun: int, f0: float, rhobeg: float, x0: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """``initxfc`` at m = 0: ``(sim, simi, fval, evaluated, info)``.
+
+    Evaluates ``x0 + rhobeg * e_j`` for each j; whenever a vertex beats
+    the pole it becomes the pole, which keeps ``sim[:, :n]`` lower
+    triangular.  ``simi`` is ``inv(sim[:, :n])`` once every vertex is in.
+    """
+    num_vars = x0.size
+    sim = np.eye(num_vars, num_vars + 1) * rhobeg
+    sim[:, num_vars] = x0
+    simi = np.eye(num_vars) / rhobeg
+    evaluated = np.zeros(num_vars + 1, dtype=bool)
+    fval = np.zeros(num_vars + 1) + REALMAX
+    info = INFO_DEFAULT
+    for k in range(num_vars + 1):
+        x = sim[:, num_vars].copy()
+        if k == 0:
+            j = num_vars
+            f = f0
+        else:
+            j = k - 1
+            x[j] += rhobeg
+            f = objective.value(x)
+        evaluated[j] = True
+        fval[j] = f
+        info = _checkbreak(maxfun, k, f, x)
+        if info != INFO_DEFAULT:
+            break
+        if j < num_vars and fval[j] < fval[num_vars]:
+            fval[j], fval[num_vars] = fval[num_vars], fval[j]
+            sim[:, num_vars] = x
+            sim[j, : j + 1] = -rhobeg
+    if evaluated.all():
+        simi = np.linalg.inv(sim[:, :num_vars])
+    return sim, simi, fval, evaluated, info
+
+
+def _initfilt(
+    sim: np.ndarray, fval: np.ndarray, evaluated: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """``initfilt`` at m = 0: the filter's one ``(f, x)`` entry.
+
+    ``savefilt`` sees the evaluated vertices in column order, each point
+    rebuilt as ``sim[:, i] + sim[:, n]`` (the pole is ``sim[:, n]``).
+    """
+    num_vars = sim.shape[0]
+    fbest = xbest = None
+    for i in np.flatnonzero(evaluated):
+        if i < num_vars:
+            x = sim[:, i] + sim[:, num_vars]
+        else:
+            x = sim[:, num_vars].copy()
+        f = fval[i]
+        if fbest is None or f < fbest or math.isnan(f):
+            fbest, xbest = f, x
+    return fbest, xbest
+
+
+def _checkbreak(maxfun: int, nf: int, f: float, x: np.ndarray) -> int:
+    """``checkbreak_con`` with ``cstrv = 0`` and ``ftarget = -inf``."""
+    if nf >= maxfun:
+        return MAXFUN_REACHED
+    # f is moderated: it is NaN only when x is, and never +inf or -inf.
+    if math.isnan(f):
+        return NAN_INF_F
+    if not np.isfinite(x).all():
+        return NAN_INF_X
+    return INFO_DEFAULT
+
+
+def _findpole(fval: np.ndarray) -> int:
+    """``findpole(EPS, 0, fval)``: the vertex with the lowest ``f``.
+
+    The pole (index n) stays unless a vertex is strictly lower; then the
+    first of the lowest.  A NaN in ``fval`` follows pyprima's builtin
+    ``min`` (which skips a NaN after the first entry) and its masked
+    ``argmin`` (which does not mask a NaN).
+    """
+    num_vars = fval.size - 1
+    fmin = fval.min()
+    if fmin < fval[num_vars]:
+        return int(fval.argmin())
+    if not math.isnan(fmin):
+        return num_vars
+    fmin = min(fval)
+    if fmin < fval[num_vars]:
+        return int(np.flatnonzero(~(fval > fmin))[0])
+    return num_vars
+
+
+def _erri(simi: np.ndarray, sim: np.ndarray) -> float:
+    """``max |simi @ sim[:, :n] - I|``; NaN if any entry is NaN."""
+    num_vars = sim.shape[0]
+    product = simi @ sim[:, :num_vars]
+    product.flat[:: num_vars + 1] -= 1.0
+    return np.max(np.abs(product))
+
+
+def _repaired(sim: np.ndarray, simi: np.ndarray) -> Tuple[np.ndarray, float]:
+    """pyprima's ``erri`` test of ``simi``: ``(simi, erri)``.
+
+    When ``simi`` is off by more than ``0.1 * _ITOL``, ``inv`` computes
+    it afresh, and the fresh one is kept if it does better.
+    """
+    erri = _erri(simi, sim)
+    if erri > 0.1 * _ITOL or np.isnan(erri):
+        simi_test = np.linalg.inv(sim[:, : sim.shape[0]])
+        erri_test = _erri(simi_test, sim)
+        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+            return simi_test, erri_test
+    return simi, erri
+
+
+def _updatepole(
+    sim: np.ndarray, simi: np.ndarray, fval: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``updatepole`` at m = 0: ``(sim, simi, info)``; ``fval`` in place.
+
+    Moves the lowest vertex (:func:`_findpole`) to the pole and updates
+    ``simi`` to match; on ``DAMAGING_ROUNDING`` returns the simplex as
+    it was.  ``sim`` and ``simi`` are updated in place otherwise.
+    """
+    num_vars = sim.shape[0]
+    jopt = _findpole(fval)
+    sim_old = simi_old = None
+    if jopt < num_vars:
+        sim_old = sim.copy()
+        simi_old = simi.copy()
+        sim[:, num_vars] += sim[:, jopt]
+        sim_jopt = sim[:, jopt].copy()
+        sim[:, jopt] = 0
+        sim[:, :num_vars] -= sim_jopt[:, np.newaxis]
+        simi[jopt, :] = -np.sum(simi, axis=0)
+    simi_in = simi
+    simi, erri = _repaired(sim, simi)
+    if erri <= _ITOL:
+        if jopt < num_vars:
+            fval[jopt], fval[num_vars] = fval[num_vars], fval[jopt]
+        return sim, simi, INFO_DEFAULT
+    # pyprima restores copies taken before the switch; with no switch
+    # the arrays it was given are unchanged.
+    if sim_old is None:
+        return sim, simi_in, DAMAGING_ROUNDING
+    return sim_old, simi_old, DAMAGING_ROUNDING
+
+
+def _updatexfc(
+    jdrop: int,
+    d: np.ndarray,
+    f: float,
+    fval: np.ndarray,
+    sim: np.ndarray,
+    simi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``updatexfc`` at m = 0: ``(sim, simi, info)``; ``fval`` in place.
+
+    Replaces vertex ``jdrop`` by ``sim[:, n] + d`` (value ``f``) with a
+    rank-one update of ``simi``, then moves the lowest vertex to the
+    pole.  As in pyprima, ``sim`` and ``simi`` are updated in place and
+    ``DAMAGING_ROUNDING`` returns them as updated (``sim_old = sim`` is
+    no copy there), with ``fval`` untouched.
+    """
+    num_vars = sim.shape[0]
+    sim_old = sim
+    simi_old = simi
+    if jdrop < num_vars:
+        sim[:, jdrop] = d
+        simi_jdrop = simi[jdrop, :] / np.dot(simi[jdrop, :], d)
+        simi -= np.outer(simi @ d, simi_jdrop)
+        simi[jdrop, :] = simi_jdrop
+    else:
+        sim[:, num_vars] += d
+        sim[:, :num_vars] -= d[:, np.newaxis]
+        simid = simi @ d
+        sum_simi = np.sum(simi, axis=0)
+        # The builtin sum, as in pyprima: a left-to-right sum, which
+        # np.sum is not.
+        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+    simi, erri = _repaired(sim, simi)
+    if not erri <= _ITOL:
+        return sim_old, simi_old, DAMAGING_ROUNDING
+    fval[jdrop] = f
+    # updatepole: when the pole stays, its erri test would repeat the
+    # one above on the same arrays and change nothing.
+    if _findpole(fval) < num_vars:
+        return _updatepole(sim, simi, fval)
+    return sim, simi, INFO_DEFAULT
+
+
+def _setdrop_tr(
+    ximproved: bool,
+    d: np.ndarray,
+    delta: float,
+    rho: float,
+    sim: np.ndarray,
+    simi: np.ndarray,
+) -> Optional[int]:
+    """``setdrop_tr``: the vertex the trust-region point replaces, or None."""
+    num_vars = sim.shape[0]
+    distsq = np.zeros(num_vars + 1)
+    if ximproved:
+        shifted = sim[:, :num_vars] - d[:, np.newaxis]
+        distsq[:num_vars] = np.sum(shifted * shifted, axis=0)
+        distsq[num_vars] = np.sum(d * d)
+    else:
+        distsq[:num_vars] = np.sum(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
+    scale = np.maximum(rho, delta / 10)
+    weight = np.maximum(1, distsq / (scale * scale))
+    simid = simi @ d
+    score = weight * np.abs(np.append(simid, 1 - np.sum(simid)))
+    if not ximproved:
+        score[num_vars] = -1
+    score[np.isnan(score)] = -1
+    jdrop = None
+    if (score > 0).any():
+        jdrop = np.argmax(score)
+    if ximproved and jdrop is None:
+        jdrop = np.argmax(distsq)
+    return jdrop
+
+
+def _geostep(
+    jdrop: int, delbar: float, fval: np.ndarray, simi: np.ndarray
+) -> np.ndarray:
+    """``geostep`` at m = 0: a step of length ``delbar`` along ``simi[jdrop]``.
+
+    The sign is the one that decreases the linear model of ``f``; the
+    constraint terms ``cvpd`` and ``cvnd`` are ``max(0, ∅) = 0``.
+    """
+    num_vars = simi.shape[0]
+    d = simi[jdrop, :]
+    d = delbar * (d / np.linalg.norm(d))
+    g = (fval[:num_vars] - fval[num_vars]) @ simi
+    # pyprima compares -d.g + cpen * cvnd with d.g + cpen * cvpd; adding
+    # cpen * 0 = +0.0 changes at most the sign of a zero, which < ignores.
+    dg = np.dot(d, g)
+    if -dg < dg:
+        d *= -1
+    return d
+
+
+def _evaluate_near(
+    objective: _Objective,
+    x: np.ndarray,
+    sim: np.ndarray,
+    fval: np.ndarray,
+    distsq: np.ndarray,
+    rhoend: float,
+) -> Tuple[float, bool]:
+    """Evaluate ``x``, or reuse the simplex vertex it (almost) coincides with.
+
+    cobylb's shared block after a trust-region or geometry step; returns
+    ``(f, fresh)``, ``fresh`` false when a vertex's value was reused.
+    """
+    num_vars = x.size
+    to_pole = x - sim[:, num_vars]
+    distsq[num_vars] = np.sum(to_pole * to_pole)
+    to_vertices = x.reshape(num_vars, 1) - (
+        sim[:, num_vars].reshape(num_vars, 1) + sim[:, :num_vars]
+    )
+    distsq[:num_vars] = np.sum(to_vertices * to_vertices, axis=0)
+    j = np.argmin(distsq)
+    if distsq[j] <= (1e-4 * rhoend) * (1e-4 * rhoend):
+        return fval[j], False
+    return objective.value(x), True
 
 
 #: ``planerot``'s range for its direct ``x / norm(x)`` rotation.
@@ -462,39 +769,11 @@ def _trstlp_general(g: np.ndarray, delta: float) -> np.ndarray:
 
 def _finish(
     x: np.ndarray,
-    calcfc: _Objective,
+    objective: _Objective,
     info: int,
     tr_steps: int = 0,
     tr_fallbacks: int = 0,
 ) -> CobylaRun:
-    """The run's outcome; ``x`` is copied out of the filter array."""
+    """The run's outcome; ``x`` is copied, as pyprima copies it from its filter."""
     stop = STOP_REASONS.get(info, f"status_{info}")
-    return CobylaRun(x.copy(), calcfc.calls, stop, tr_steps, tr_fallbacks)
-
-
-def _evaluate_near(
-    calcfc, x, sim, fval, conmat, distsq, rhoend, nf,
-    nfilt, ctol, cweight, cfilt, ffilt, xfilt, confilt,
-):
-    """Evaluate ``x``, or reuse the simplex vertex it (almost) coincides with.
-
-    cobylb's shared block after a trust-region or geometry step; returns
-    ``(f, constr, nf, nfilt)`` and fills the filter arrays in place.
-    """
-    num_vars = x.size
-    distsq[num_vars] = primasum(primapow2(x - sim[:, num_vars]))
-    distsq[:num_vars] = primasum(
-        primapow2(
-            x.reshape(num_vars, 1)
-            - (sim[:, num_vars].reshape(num_vars, 1) + sim[:, :num_vars])
-        ),
-        axis=0,
-    )
-    j = np.argmin(distsq)
-    if distsq[j] <= primapow2(1e-4 * rhoend):
-        return fval[j], conmat[:, j], nf, nfilt
-    f, constr = evaluate(calcfc, x, 0, None, None)
-    nfilt, _, _, _, _ = savefilt(
-        0.0, ctol, cweight, f, x, nfilt, cfilt, ffilt, xfilt, constr, confilt
-    )
-    return f, constr, nf + 1, nfilt
+    return CobylaRun(x.copy(), objective.calls, stop, tr_steps, tr_fallbacks)

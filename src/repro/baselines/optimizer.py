@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import time
 from typing import Callable
 
 import numpy as np
@@ -53,11 +54,11 @@ def minimize_cobyla(
     With pyprima available the loop runs in :mod:`repro.baselines.cobyla`,
     bit-identically to ``scipy.optimize.minimize(method="COBYLA")``;
     otherwise scipy runs it.  The ``optimizer.cobyla`` span records the
-    loss ``evaluations`` and why COBYLA stopped (``stop``); on the
-    in-repo loop also the trust-region steps taken (``tr_steps``) and
-    how many of them pyprima's general ``trstlp`` served
-    (``tr_fallbacks``).  A 0-d ``x0`` is read as a 1-vector, as scipy
-    reads it.
+    loss ``evaluations``, the seconds spent inside the loss (``loss_s``)
+    and why COBYLA stopped (``stop``); on the in-repo loop also the
+    trust-region steps taken (``tr_steps``) and how many of them
+    pyprima's general ``trstlp`` served (``tr_fallbacks``).  A 0-d
+    ``x0`` is read as a 1-vector, as scipy reads it.
 
     Raises:
         SolverError: when ``x0`` has more than one dimension, or holds a
@@ -75,6 +76,7 @@ def minimize_cobyla(
     if not np.isfinite(x0).all():
         raise SolverError(f"COBYLA start point must be finite, got {x0!r}")
     budget = max(max_iterations, x0.size + 2)
+    loss = _TimedLoss(loss)
     with telemetry.span(
         "optimizer.cobyla", dimensions=int(x0.size), budget=budget
     ) as span:
@@ -96,9 +98,26 @@ def minimize_cobyla(
             )
             x, evaluations = outcome.x, int(outcome.nfev)
             span.set(stop=_fallback_stop(outcome, budget))
-        span.set(evaluations=evaluations)
+        span.set(evaluations=evaluations, loss_s=loss.seconds)
         telemetry.add("optimizer.evaluations", evaluations)
     return np.asarray(x, dtype=float)
+
+
+class _TimedLoss:
+    """``loss``, summing the wall-clock seconds spent inside it."""
+
+    __slots__ = ("loss", "seconds")
+
+    def __init__(self, loss: Callable[[np.ndarray], float]):
+        self.loss = loss
+        self.seconds = 0.0
+
+    def __call__(self, x: np.ndarray):
+        start = time.perf_counter()
+        try:
+            return self.loss(x)
+        finally:
+            self.seconds += time.perf_counter() - start
 
 
 def check_finite_loss(value, evaluation: int) -> None:

@@ -864,6 +864,25 @@ def _cobyla_cases(ctx: CheckContext):
 
         cases.append((f"quadratic/{n}", quadratic, budget, 0.5))
         cases.append((f"noisy/{n}", noisy, budget, 0.3))
+    rng = ctx.rng("cobyla-moderated")
+    target = rng.uniform(-1.0, 1.0, 8)
+    x0 = rng.uniform(-1.0, 1.0, 8)
+
+    # |x0 - target|_1 = 5.9: the start and the vertices a step further
+    # out lie above FUNCMAX, the vertices a step closer below it.
+    start_above = target + rng.choice([-1.0, 1.0], 8) * (5.9 / 8)
+
+    def above_funcmax(target=target, x0=start_above):
+        # Finite, but above FUNCMAX = 1e30 wherever |x - target|_1 > 5.76:
+        # PRIMA clips those values to FUNCMAX, so they tie.
+        return (lambda x: float(1e25 * np.exp(2.0 * np.abs(x - target).sum()))), x0
+
+    def piecewise_constant(target=target, x0=x0):
+        # Many points tie on the lowest value; the first one is returned.
+        return (lambda x: float(np.floor(4.0 * np.abs(x - target)).sum())), x0
+
+    cases.append(("above-funcmax/8", above_funcmax, 60 * scale, 0.5))
+    cases.append(("piecewise-constant/8", piecewise_constant, 60 * scale, 0.5))
     return cases
 
 
@@ -1002,4 +1021,268 @@ def check_trstlp_vs_pyprima(ctx: CheckContext) -> CheckOutput:
         "m0-kernel",
         payload_b,
         details={"cases": len(payload_a), "fallbacks": fallbacks},
+    )
+
+
+# ----------------------------------------------------------------------
+# 12. m = 0 simplex bookkeeping vs pyprima's helpers
+# ----------------------------------------------------------------------
+#: Simplex dimensions; 15 and 120 also carry a Hilbert-matrix simplex
+#: that no ``inv`` can repair.
+_SIMPLEX_DIMENSIONS = (1, 2, 3, 8, 15, 120)
+
+
+def _seeded_simplex(rng: np.random.Generator, num_vars: int):
+    """``(sim, simi, fval, rhobeg)`` as the driver holds them.
+
+    ``sim[:, :n]`` is a well-conditioned random basis, ``simi`` its
+    inverse, and the pole ``fval[n]`` is the lowest value.
+    """
+    rhobeg = float(rng.uniform(0.1, 1.0))
+    sim = np.empty((num_vars, num_vars + 1))
+    noise = rng.normal(size=(num_vars, num_vars)) / np.sqrt(num_vars)
+    sim[:, :num_vars] = rhobeg * (np.eye(num_vars) + 0.3 * noise)
+    sim[:, num_vars] = rng.uniform(-1.0, 1.0, num_vars)
+    simi = np.linalg.inv(sim[:, :num_vars])
+    fval = rng.normal(size=num_vars + 1)
+    fval[num_vars] = fval.min() - 0.1
+    return sim, simi, fval, rhobeg
+
+
+def _simplex_cases(ctx: CheckContext) -> List[Tuple[str, str, Dict[str, Any]]]:
+    """``(label, helper, inputs)`` per case, in m = 0 terms.
+
+    Covers a pole that stays and one that moves, ties (first lowest
+    vertex; a vertex tied with the pole), a NaN value, ``jdrop < n``
+    and ``jdrop == n``, ``ximproved`` both ways, a ``simi`` that the
+    ``inv`` repair replaces, and Hilbert simplices that end in
+    ``DAMAGING_ROUNDING``.
+    """
+    cases: List[Tuple[str, str, Dict[str, Any]]] = []
+    for n in _SIMPLEX_DIMENSIONS:
+        rng = ctx.rng(f"simplex-{n}")
+        sim, simi, fval, rhobeg = _seeded_simplex(rng, n)
+        pole = fval[n]
+        k = int(rng.integers(0, n))
+
+        def simplex(fval=fval, simi=simi, sim=sim):
+            return {"sim": sim, "simi": simi, "fval": fval}
+
+        moved = fval.copy()
+        moved[k] = pole - 1.0
+        with_pole_tie = fval.copy()
+        with_pole_tie[k] = pole
+        cases += [
+            (f"updatepole/n{n}/stay", "updatepole", simplex()),
+            (f"updatepole/n{n}/switch", "updatepole", simplex(fval=moved)),
+            (
+                f"updatepole/n{n}/tie-with-pole",
+                "updatepole",
+                simplex(fval=with_pole_tie),
+            ),
+            (f"updatepole/n{n}/repair", "updatepole", simplex(simi=1.25 * simi)),
+        ]
+        if n >= 2:
+            tied = fval.copy()
+            tied[[0, n - 1]] = pole - 1.0
+            cases.append((f"updatepole/n{n}/tie", "updatepole", simplex(fval=tied)))
+            with_nan = moved.copy()
+            with_nan[(k + 1) % n] = np.nan
+            cases.append((f"updatepole/n{n}/nan", "updatepole", simplex(fval=with_nan)))
+
+        d = rng.normal(size=n) * (0.5 * rhobeg / np.sqrt(n))
+        for name, jdrop, f, inputs in (
+            ("inner", k, pole + 0.5, simplex()),
+            ("inner-best", k, pole - 1.0, simplex()),
+            ("inner-tie", k, pole, simplex()),
+            ("pole-best", n, pole - 1.0, simplex()),
+            ("pole-worst", n, pole + 10.0, simplex()),
+            ("repair", k, pole + 0.5, simplex(simi=1.25 * simi)),
+        ):
+            inputs.update(jdrop=jdrop, d=d, f=f)
+            cases.append((f"updatexfc/n{n}/{name}", "updatexfc", inputs))
+
+        delta = float(rng.uniform(0.5, 1.0)) * rhobeg
+        for ximproved in (True, False):
+            inputs = simplex()
+            inputs.update(ximproved=ximproved, d=d, delta=delta, rho=0.5 * delta)
+            name = "improved" if ximproved else "not-improved"
+            cases.append((f"setdrop_tr/n{n}/{name}", "setdrop_tr", inputs))
+        for jdrop in sorted({0, k, n - 1}):
+            cases.append(
+                (
+                    f"geostep/n{n}/j{jdrop}",
+                    "geostep",
+                    {"simi": simi, "fval": fval, "jdrop": jdrop, "delbar": delta / 2},
+                )
+            )
+
+        if n >= 15:
+            # Hilbert matrices past n = 13 are too ill-conditioned for inv
+            # to bring max|simi @ sim - I| under 1.
+            hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+            bad_sim = sim.copy()
+            bad_sim[:, :n] = rhobeg * hilbert
+            bad = simplex(sim=bad_sim, simi=np.linalg.inv(bad_sim[:, :n]))
+            bad_switch = dict(bad, fval=moved)
+            cases += [
+                (f"updatepole/n{n}/damaging", "updatepole", bad),
+                (f"updatepole/n{n}/damaging-switch", "updatepole", bad_switch),
+                (
+                    f"updatexfc/n{n}/damaging",
+                    "updatexfc",
+                    {**bad, "jdrop": k, "d": d, "f": pole + 0.5},
+                ),
+            ]
+    return cases
+
+
+def _run_simplex_helper(helper: str, inputs: Dict[str, Any], use_pyprima: bool):
+    """Run one helper on fresh copies of ``inputs``; returns its payload.
+
+    Path A calls pyprima with an ``n x 0`` ``conmat``, zero ``cval`` and
+    ``cpen = EPS``; path B calls the m = 0 version.  ``updatepole`` and
+    ``updatexfc`` payloads also hold the arrays passed in, after the
+    call, because both update them in place.  Returns ``(payload,
+    simi_replaced)``; ``simi_replaced`` is true when the returned
+    ``simi`` is a new array (the ``inv`` repair, or a restore).
+    """
+    from scipy._lib.pyprima.cobyla import geometry, update
+    from scipy._lib.pyprima.common.consts import EPS
+
+    from repro.baselines import cobyla
+
+    args = {
+        key: value.copy() if isinstance(value, np.ndarray) else value
+        for key, value in inputs.items()
+    }
+    if helper == "setdrop_tr":
+        run = geometry.setdrop_tr if use_pyprima else cobyla._setdrop_tr
+        names = ("ximproved", "d", "delta", "rho", "sim", "simi")
+        jdrop = run(*(args[name] for name in names))
+        return {"jdrop": None if jdrop is None else int(jdrop)}, False
+    if helper == "geostep":
+        if use_pyprima:
+            n = args["simi"].shape[0]
+            d = geometry.geostep(
+                args["jdrop"], None, None, np.zeros((0, n + 1)), EPS, np.zeros(n + 1),
+                args["delbar"], args["fval"], args["simi"],
+            )
+        else:
+            d = cobyla._geostep(
+                args["jdrop"], args["delbar"], args["fval"], args["simi"]
+            )
+        return {"d": d}, False
+    sim, simi, fval = args["sim"], args["simi"], args["fval"]
+    n = sim.shape[0]
+    conmat, cval = np.zeros((0, n + 1)), np.zeros(n + 1)
+    if helper == "updatepole":
+        if use_pyprima:
+            _, _, fval_out, sim_out, simi_out, info = update.updatepole(
+                EPS, conmat, cval, fval, sim, simi
+            )
+        else:
+            sim_out, simi_out, info = cobyla._updatepole(sim, simi, fval)
+            fval_out = fval
+    elif use_pyprima:
+        sim_out, simi_out, fval_out, _, _, info = update.updatexfc(
+            args["jdrop"], np.zeros(0), EPS, 0.0, args["d"], args["f"],
+            conmat, cval, fval, sim, simi,
+        )
+    else:
+        sim_out, simi_out, info = cobyla._updatexfc(
+            args["jdrop"], args["d"], args["f"], fval, sim, simi
+        )
+        fval_out = fval
+    payload = {
+        "sim": sim_out,
+        "simi": simi_out,
+        "fval": fval_out,
+        "info": int(info),
+        "sim-passed": sim,
+        "simi-passed": simi,
+    }
+    return payload, simi_out is not simi
+
+
+def _simplex_branches(
+    helper: str, inputs: Dict[str, Any], payload: Dict[str, Any], simi_replaced: bool
+) -> List[str]:
+    """The branches one case took, read off its inputs and pyprima's output."""
+    from scipy._lib.pyprima.common.infos import DAMAGING_ROUNDING
+
+    from repro.baselines.cobyla import _findpole
+
+    if helper == "setdrop_tr":
+        n = inputs["sim"].shape[0]
+        jdrop = payload["jdrop"]
+        if jdrop is None:
+            where = "jdrop=None"
+        else:
+            where = "jdrop=n" if jdrop == n else "jdrop<n"
+        return ["ximproved" if inputs["ximproved"] else "not-ximproved", where]
+    if helper == "geostep":
+        row = inputs["simi"][inputs["jdrop"]]
+        return ["flipped" if np.dot(payload["d"], row) < 0 else "kept"]
+    n = inputs["sim"].shape[0]
+    tags = []
+    if helper == "updatexfc":
+        tags.append("jdrop=n" if inputs["jdrop"] == n else "jdrop<n")
+        fval = inputs["fval"].copy()
+        fval[inputs["jdrop"]] = inputs["f"]
+    else:
+        fval = inputs["fval"]
+    finite = fval[~np.isnan(fval)]
+    tags.append("jopt<n" if _findpole(fval) < n else "jopt=n")
+    if np.count_nonzero(finite == finite.min()) > 1:
+        tags.append("tie")
+    if np.isnan(fval).any():
+        tags.append("nan")
+    if payload["info"] == DAMAGING_ROUNDING:
+        tags.append("damaging")
+    elif simi_replaced:
+        tags.append("inv-repair")
+    return tags
+
+
+@register_check(
+    "simplex-update-vs-pyprima",
+    "pyprima's updatepole, updatexfc, setdrop_tr and geostep with no "
+    "constraints vs the driver's m = 0 versions, on seeded and edge-case "
+    "simplices",
+    suites=("full",),
+    tolerance=0.0,
+)
+def check_simplex_update_vs_pyprima(ctx: CheckContext) -> CheckOutput:
+    """The m = 0 simplex bookkeeping must return pyprima's bits.
+
+    Path A calls pyprima's ``updatepole``, ``updatexfc``, ``setdrop_tr``
+    and ``geostep`` with an ``n x 0`` ``conmat`` and zero ``cval``; path
+    B calls ``_updatepole``, ``_updatexfc``, ``_setdrop_tr`` and
+    ``_geostep`` from :mod:`repro.baselines.cobyla`.  The details list
+    the branches each case took.  Full suite only: on a scipy without
+    pyprima there is nothing to compare.
+    """
+    try:
+        import scipy._lib.pyprima  # noqa: F401
+
+        import repro.baselines.cobyla  # noqa: F401
+    except ImportError as error:
+        raise CheckSkipped(f"scipy without pyprima: {error}") from error
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    branches: Dict[str, List[str]] = {}
+    for label, helper, inputs in _simplex_cases(ctx):
+        payload_a[label], simi_replaced = _run_simplex_helper(helper, inputs, True)
+        payload_b[label], _ = _run_simplex_helper(helper, inputs, False)
+        branches[label] = _simplex_branches(
+            helper, inputs, payload_a[label], simi_replaced
+        )
+    return CheckOutput(
+        "pyprima-helpers",
+        payload_a,
+        "m0-helpers",
+        payload_b,
+        details={"cases": len(payload_a), "branches": branches},
     )

@@ -120,6 +120,47 @@ def _trstlp_edge_cases():
     ]
 
 
+def _simplex(n, hilbert=False):
+    """``(sim, simi, fval)`` as the COBYLA driver holds them.
+
+    The pole ``fval[n]`` is the lowest value and ``simi`` inverts
+    ``sim[:, :n]``.  ``hilbert`` makes ``sim[:, :n]`` a Hilbert matrix,
+    too ill-conditioned past n = 13 for ``inv`` to repair.
+    """
+    rng = np.random.default_rng(n)
+    sim = np.empty((n, n + 1))
+    if hilbert:
+        sim[:, :n] = 0.5 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+    else:
+        noise = rng.normal(size=(n, n)) / np.sqrt(n)
+        sim[:, :n] = 0.5 * (np.eye(n) + 0.3 * noise)
+    sim[:, n] = rng.uniform(-1.0, 1.0, n)
+    fval = rng.normal(size=n + 1)
+    fval[n] = fval.min() - 0.1
+    return sim, np.linalg.inv(sim[:, :n]), fval
+
+
+def _pole_edge(edge, n):
+    """A simplex for ``updatepole``'s edge case ``edge``."""
+    sim, simi, fval = _simplex(n, hilbert=edge.startswith("damaging"))
+    pole = fval[n]
+    if edge in ("switch", "damaging-switch"):
+        fval[n - 1] = pole - 1.0
+    elif edge == "tie":
+        fval[[0, n - 1]] = pole - 1.0
+    elif edge == "tie-with-pole":
+        fval[0] = pole
+    elif edge == "nan-first":
+        # pyprima's builtin min starts from the NaN: the pole stays.
+        fval[[0, n - 1]] = np.nan, pole - 1.0
+    elif edge == "nan-later":
+        # The builtin min skips a later NaN; the masked argmin keeps it.
+        fval[[0, n - 1]] = pole - 1.0, np.nan
+    elif edge == "repair":
+        simi *= 1.25
+    return sim, simi, fval
+
+
 class TestCobylaOptimizer:
     def test_budget_below_simplex_floor_matches_explicit_floor(self):
         target = np.linspace(-1.0, 1.0, 6)
@@ -167,6 +208,39 @@ class TestCobylaOptimizer:
         # The noisy loss draws from its RNG on every call, so one extra
         # or missing evaluation would shift every later point.
         self._assert_same_run(kind, n)
+
+    @pytest.mark.parametrize("kind", ["above-funcmax", "piecewise-constant"])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_matches_scipy_on_clipped_and_tied_losses(self, n, kind):
+        # PRIMA clips values above FUNCMAX = 1e30 (so they tie) and keeps
+        # the first of tied points; check_finite_loss lets both through.
+        pytest.importorskip("scipy._lib.pyprima")
+        target = np.linspace(-1.0, 1.0, n)
+        x0 = np.full(n, 0.3)
+        reach = np.abs(x0 - target).sum()
+
+        def start():
+            points = []
+
+            def loss(x):
+                points.append(x.copy())
+                if kind == "above-funcmax":
+                    # 1.3e30 at x0: one rhobeg step out stays above
+                    # FUNCMAX, one step in falls below it.
+                    excess = np.abs(x - target).sum() - reach
+                    return float(1.3e30 * np.exp(2.0 * excess))
+                return float(np.floor(4.0 * np.abs(x - target)).sum())
+
+            return loss, points
+
+        loss, scipy_points = start()
+        reference = sciopt.minimize(
+            loss, x0, method="COBYLA", options={"maxiter": 80, "rhobeg": 0.5}
+        )
+        loss, points = start()
+        best = minimize_cobyla(loss, x0, max_iterations=80, rhobeg=0.5)
+        assert best.tobytes() == reference.x.tobytes()
+        assert [p.tobytes() for p in points] == [p.tobytes() for p in scipy_points]
 
     def test_fallback_without_pyprima_is_scipy(self, monkeypatch):
         with monkeypatch.context() as patch:
@@ -253,6 +327,91 @@ class TestCobylaOptimizer:
     def test_trstlp_kernel_edge_input(self, g, falls_back):
         for delta in (1e-4, 0.5):
             assert self._assert_trstlp_matches(g, delta) is falls_back
+
+    @staticmethod
+    def _assert_simplex_helper_matches(helper, **inputs):
+        """An m = 0 simplex helper returns pyprima's bits, and leaves the
+        arrays it updates in place as pyprima leaves them; returns
+        pyprima's payload."""
+        pytest.importorskip("scipy._lib.pyprima")
+        from repro.verify.checks import _run_simplex_helper
+
+        expected, _ = _run_simplex_helper(helper, inputs, use_pyprima=True)
+        actual, _ = _run_simplex_helper(helper, inputs, use_pyprima=False)
+        as_bytes = lambda payload: {
+            key: value.tobytes() if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()
+        }
+        assert as_bytes(actual) == as_bytes(expected)
+        return expected
+
+    @pytest.mark.parametrize(
+        "edge",
+        ["stay", "switch", "tie", "tie-with-pole", "nan-first", "nan-later", "repair"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8, 15])
+    def test_updatepole_matches_pyprima(self, n, edge):
+        sim, simi, fval = _pole_edge(edge, n)
+        self._assert_simplex_helper_matches("updatepole", sim=sim, simi=simi, fval=fval)
+
+    @pytest.mark.parametrize(
+        "edge",
+        ["inner", "inner-best", "inner-tie", "pole-best", "pole-worst", "repair"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 8, 15, 120])
+    def test_updatexfc_matches_pyprima(self, n, edge):
+        sim, simi, fval = _simplex(n)
+        if edge == "repair":
+            simi *= 1.25
+        pole = fval[n]
+        f = {
+            "inner-best": pole - 1.0,
+            "inner-tie": pole,
+            "pole-best": pole - 1.0,
+            "pole-worst": pole + 10.0,
+        }.get(edge, pole + 0.5)
+        rng = np.random.default_rng(n + 100)
+        for _ in range(3):
+            self._assert_simplex_helper_matches(
+                "updatexfc", sim=sim, simi=simi, fval=fval,
+                jdrop=n if edge.startswith("pole") else n // 2,
+                d=rng.normal(size=n) * 0.2, f=f,
+            )
+
+    @pytest.mark.parametrize("helper", ["updatepole", "updatexfc"])
+    @pytest.mark.parametrize("edge", ["damaging", "damaging-switch"])
+    def test_damaging_rounding_matches_pyprima(self, helper, edge):
+        # updatepole returns copies taken before the switch; updatexfc
+        # returns sim and simi as its rank-one update left them.
+        pytest.importorskip("scipy._lib.pyprima")
+        from scipy._lib.pyprima.common.infos import DAMAGING_ROUNDING
+
+        sim, simi, fval = _pole_edge(edge, 15)
+        inputs = dict(sim=sim, simi=simi, fval=fval)
+        if helper == "updatexfc":
+            d = np.random.default_rng(115).normal(size=15) * 0.2
+            inputs.update(jdrop=3, d=d, f=fval[3] + 0.5)
+        expected = self._assert_simplex_helper_matches(helper, **inputs)
+        assert expected["info"] == DAMAGING_ROUNDING
+
+    @pytest.mark.parametrize("ximproved", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 120])
+    def test_setdrop_tr_matches_pyprima(self, n, ximproved):
+        sim, simi, _ = _simplex(n)
+        rng = np.random.default_rng(n + 200)
+        for scale in (1e-3, 0.2, 2.0):
+            self._assert_simplex_helper_matches(
+                "setdrop_tr", ximproved=ximproved, d=rng.normal(size=n) * scale,
+                delta=0.4, rho=0.1, sim=sim, simi=simi,
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 120])
+    def test_geostep_matches_pyprima(self, n):
+        _, simi, fval = _simplex(n)
+        for jdrop in sorted({0, n // 2, n - 1}):
+            self._assert_simplex_helper_matches(
+                "geostep", jdrop=jdrop, delbar=0.2, fval=fval, simi=simi
+            )
 
 
 class TestSpsaOptimizer:

@@ -341,6 +341,28 @@ class TestSolverIntegration:
         assert span.attributes["evaluations"] == len(calls)
         assert span.attributes["budget"] == budget
 
+    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    def test_cobyla_span_reports_loss_seconds(self, monkeypatch, path):
+        # Driver self time is the span's duration minus loss_s.
+        import time
+
+        import numpy as np
+
+        from repro.baselines import optimizer
+
+        if path == "scipy":
+            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
+
+        def loss(x):
+            time.sleep(1e-4)
+            return float(((x - 0.25) ** 2).sum())
+
+        with telemetry.session() as collector:
+            optimizer.minimize_cobyla(loss, np.zeros(3), max_iterations=20)
+        (span,) = [s for s in collector.iter_spans() if s.name == "optimizer.cobyla"]
+        loss_s = span.attributes["loss_s"]
+        assert 0 < span.attributes["evaluations"] * 1e-4 <= loss_s <= span.duration
+
     @pytest.mark.parametrize("fallback", [False, True])
     def test_cobyla_span_reports_trust_region_fallbacks(self, fallback):
         import numpy as np

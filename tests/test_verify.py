@@ -271,6 +271,13 @@ class TestMutationDetection:
             report = run_checks(checks_for(names=[name]), seed=7, mutated=True)
         assert [c["verdict"] for c in report["checks"]] == ["mismatch"]
 
+    def test_mutation_flips_full_only_simplex_update_check(self):
+        pytest.importorskip("scipy._lib.pyprima")
+        name = "simplex-update-vs-pyprima"
+        with faults.session(mutation_plan(seed=7, names=[name])):
+            report = run_checks(checks_for(names=[name]), seed=7, mutated=True)
+        assert [c["verdict"] for c in report["checks"]] == ["mismatch"]
+
     def test_mutation_plan_targets_only_verify_points(self):
         plan = mutation_plan(seed=0, names=["sparse-vs-dense"])
         assert all(rule.point.startswith("verify.") for rule in plan.rules)
@@ -287,6 +294,7 @@ class TestMutationDetection:
                 "segment-step-vs-reference",
                 "cobyla-vs-scipy",
                 "trstlp-vs-pyprima",
+                "simplex-update-vs-pyprima",
             ]
         )
         report = run_checks(checks, seed=5)
