@@ -1,8 +1,8 @@
 """The versioned ``BENCH_<suite>.json`` artifact schema.
 
 Every benchmark artifact this repo emits — ``python -m repro bench run``
-suites, the ``REPRO_BENCH_TELEMETRY=1`` per-figure dumps, and the smoke
-tools — shares this one format so any two artifacts can be fed to
+suites and the ``REPRO_BENCH_TELEMETRY=1`` per-figure dumps — shares
+this one format so any two artifacts can be fed to
 :mod:`repro.bench.compare` regardless of which harness produced them.
 
 A report is a plain JSON object::

@@ -233,7 +233,7 @@ class FaultPlan:
 
     @classmethod
     def smoke(cls, seed: int = 0) -> "FaultPlan":
-        """The default chaos-smoke plan used by ``serve --chaos-seed``.
+        """The default chaos plan used by ``serve --chaos-seed``.
 
         Moderate, survivable chaos: occasional retryable engine
         failures, a torn store write every few appends, slow appends,

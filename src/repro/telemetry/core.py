@@ -181,17 +181,13 @@ class Histogram:
 
         Returns the upper bound of the bucket holding the rank-``q``
         observation, clamped to the observed [min, max] (so a single
-        observation reports itself exactly).  Histograms loaded from
-        legacy payloads without buckets degrade to linear interpolation
-        between min and max.
+        observation reports itself exactly).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
         observed = self.underflow + sum(self.buckets.values())
-        if observed == 0:
-            return self.minimum + q * (self.maximum - self.minimum)
         rank = max(1, math.ceil(q * observed))
         cumulative = self.underflow
         if rank <= cumulative:
@@ -239,9 +235,10 @@ class Histogram:
     def from_dict(cls, payload: Dict[str, Any]) -> "Histogram":
         """Rebuild from :meth:`to_dict` output.
 
-        Back-compatible: payloads written before buckets existed (only
-        count/total/min/max) load fine and degrade to interpolated
-        quantiles.
+        Raises:
+            ValueError: the payload's ``count`` exceeds the observations
+                its underflow and bucket table hold, as in a payload
+                written without buckets; its quantiles would be unknown.
         """
         histogram = cls(
             count=int(payload.get("count", 0)),
@@ -255,6 +252,12 @@ class Histogram:
             int(index): int(count)
             for index, count in payload.get("buckets", {}).items()
         }
+        bucketed = histogram.underflow + sum(histogram.buckets.values())
+        if histogram.count > bucketed:
+            raise ValueError(
+                f"histogram payload counts {histogram.count} observations "
+                f"but its underflow and buckets hold {bucketed}"
+            )
         return histogram
 
 

@@ -17,8 +17,9 @@ Two render targets beyond the JSONL/tree sinks:
   as separate process tracks.  The CLI's ``--trace-format chrome`` ends
   here.
 
-Both formats are validated by ``tools/check_trace_outputs.py`` (reused
-by the tests and the CI trace-export smoke job).
+Both formats are validated by the format checkers of
+``tests/trace_checkers.py``, which the tests run on real ``GET /metrics``
+and ``repro solve --trace-format chrome`` output.
 """
 
 from __future__ import annotations

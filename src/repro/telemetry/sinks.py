@@ -13,9 +13,9 @@ The JSONL format is one JSON object per line:
   makes reloaded histograms mergeable and quantile-capable.
 
 :func:`read_jsonl` reconstructs a :class:`TelemetryCollector` from such a
-file (round-trip safe), which is what offline analysis notebooks and the
-CI smoke job consume; pass ``into=`` to accumulate several trace files
-into one collector.
+file (round-trip safe), which is what offline analysis notebooks
+consume; pass ``into=`` to accumulate several trace files into one
+collector.
 """
 
 from __future__ import annotations

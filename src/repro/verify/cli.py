@@ -19,8 +19,8 @@ diff two runs byte-for-byte.
 fault point ``verify.<check>`` nudges one leaf of every path-B payload,
 so on a healthy tree *every* check must flip to mismatch and the
 command must exit 1.  A ``mutate`` invocation that exits 0 means the
-harness has gone vacuous — ``tools/verify_smoke.py`` gates CI on
-exactly that property.
+harness has gone vacuous — ``tests/test_verify.py`` fails on exactly
+that property.
 
 ``--trace`` renders the telemetry span tree / counters to stderr after
 the run (the checks reuse ``repro.telemetry`` spans), keeping stdout

@@ -23,9 +23,9 @@ Verdicts are structured (:class:`CheckResult`): ``match`` /
 ``mismatch`` / ``skipped``, with per-path payload fingerprints, the
 maximum absolute deviation, and a human-readable reason.  The report
 returned by :func:`run_checks` is deterministic for a given seed — no
-timestamps, no durations — so running the quick suite twice and
-diffing the JSON is itself a determinism check (``tools/verify_smoke.py``
-does exactly that).
+timestamps, no durations — so running a suite twice and diffing the
+JSON is itself a determinism check (CI runs the full suite twice and
+compares the reports byte for byte).
 
 See ``docs/VERIFICATION.md`` for the check catalog and how to add one.
 """
@@ -491,7 +491,7 @@ def run_checks(
 
     The report carries no timestamps or durations: two runs with the
     same seed over the same tree are byte-identical, which is itself
-    part of the determinism contract (see ``tools/verify_smoke.py``).
+    part of the determinism contract (CI compares two runs with ``cmp``).
     """
     results: List[CheckResult] = []
     with telemetry.span(

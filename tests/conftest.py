@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-# tools/ holds the export-format checkers that the exporter tests share
-# with the CI trace-export smoke job.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from repro.problems import (
     FacilityLocationProblem,

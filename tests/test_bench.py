@@ -226,11 +226,14 @@ class TestRegistryAndRunner:
         assert {w.name for w in quick} <= full
 
     def test_workload_counters_deterministic(self):
-        workload = get_workload("micro.decompose.barenco")
-        first = run_workload(workload, repeats=1, warmup=0)
-        second = run_workload(workload, repeats=1, warmup=0)
-        assert first["counters"] == second["counters"]
-        assert first["seed"] == second["seed"] == workload.seed
+        entries = {}
+        for workload in workloads_for("quick"):
+            first = run_workload(workload, repeats=1, warmup=0)
+            second = run_workload(workload, repeats=1, warmup=0)
+            assert first["counters"] == second["counters"], workload.name
+            assert first["seed"] == second["seed"] == workload.seed
+            entries[workload.name] = first
+        validate_report(new_report("quick", entries, repeats=1, warmup=0))
 
     def test_run_workload_entry_schema(self):
         workload = get_workload("micro.decompose.barenco")

@@ -1,6 +1,9 @@
-"""Docstring examples must stay executable."""
+"""Docstring examples must stay executable; the API reference built from
+the docstrings must render the same text on every run."""
 
 import doctest
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -14,9 +17,20 @@ MODULES = [
     repro.circuits.visualize,
 ]
 
+GEN_API_DOCS = pathlib.Path(__file__).parent.parent / "tools" / "gen_api_docs.py"
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_api_reference_renders_deterministically():
+    spec = importlib.util.spec_from_file_location("gen_api_docs", GEN_API_DOCS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    first = module.render()
+    assert first == module.render()
+    assert "at 0x" not in first

@@ -1,6 +1,13 @@
 """CLI and experiment-harness plumbing."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +18,7 @@ from repro.experiments.cli import (
     build_solve_parser,
     main,
 )
+from tests.trace_checkers import check_chrome_trace
 
 
 class TestParser:
@@ -97,14 +105,47 @@ class TestSolveSubcommand:
         assert payload["in_constraints_rate"] == 1.0
         assert payload["distribution"]
 
-    def test_solve_output_deterministic_across_workers(self, capsys):
+    def test_solve_output_deterministic_across_workers(self, capsys, tmp_path):
         argv = ["solve", "F1", "--seed", "7", "--shots", "128",
                 "--iterations", "6", "--restarts", "2"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--engine-workers", "2"]) == 0
+        trace = tmp_path / "trace.json"
+        assert main(argv + ["--engine-workers", "2", "--trace-out", str(trace),
+                            "--trace-format", "chrome"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+        # Worker-side spans are stitched into the parent's trace.
+        document = json.loads(trace.read_text())
+        assert check_chrome_trace(document) == []
+        events = document["traceEvents"]
+        assert len({event["pid"] for event in events}) > 1
+        assert {"engine.map", "restart"} <= {event["name"] for event in events}
+
+    def test_solve_reuses_spilled_artifacts(self, capsys, tmp_path):
+        from repro.pipeline import configure_cache, get_default_cache
+
+        argv = ["solve", "F1", "--seed", "7", "--shots", "128",
+                "--iterations", "6", "--spill-dir", str(tmp_path)]
+        default = get_default_cache()
+        try:
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+            assert main(argv) == 0
+            warm = capsys.readouterr().out
+        finally:
+            configure_cache(default)
+        assert warm == cold
+        # One content-addressed file per pre-execution stage.
+        config = '{"seed": 7, "shots": 128, "max_iterations": 6}'
+        assert main(["inspect", "F1", "--config", config]) == 0
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        assert [stage["name"] for stage in stages] == [
+            "basis", "hamiltonian", "prune", "segmentation", "circuit"
+        ]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{stage['fingerprint']}.npz" for stage in stages
+        )
 
     def test_solve_timeout_expired_exits_3(self, capsys):
         assert main(["solve", "F1", "--timeout", "0"]) == 3
@@ -128,6 +169,42 @@ class TestSolveSubcommand:
         after = get_defaults()
         assert after.workers == before.workers
         assert after.backend == before.backend
+
+
+class TestServeSubcommand:
+    def test_serve_answers_health_and_stops_cleanly_on_sigint(self):
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            url = None
+            for line in process.stdout:
+                match = re.search(r"listening on (http://\S+)", line)
+                if match:
+                    url = match.group(1)
+                    break
+            assert url is not None, "serve exited before listening"
+            with urllib.request.urlopen(url + "/healthz", timeout=10) as reply:
+                assert json.loads(reply.read())["status"] == "ok"
+            process.send_signal(signal.SIGINT)
+            rest, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert "service stopped" in rest
+        assert process.returncode == 0
 
 
 class TestQuickRuns:

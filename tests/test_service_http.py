@@ -18,6 +18,7 @@ from repro.service import (
     ServiceServer,
     SolverService,
 )
+from tests.trace_checkers import check_prometheus_text
 
 QUICK = {"seed": 7, "shots": None, "max_iterations": 5}
 
@@ -72,9 +73,8 @@ class TestHealthAndMetrics:
         request = urllib.request.Request(server.url + "/metrics")
         with urllib.request.urlopen(request, timeout=5) as response:
             text = response.read().decode()
-        from check_trace_outputs import check_prometheus_text
-
         assert check_prometheus_text(text) == []
+        assert "\nservice_jobs_executed " in text
         # Histogram families (job runtimes, per-route HTTP latency) are
         # expanded into _bucket/_sum/_count series.
         assert 'service_jobs_run_seconds_bucket{le="+Inf"}' in text

@@ -1,8 +1,8 @@
 """Quantile histograms, cross-process merging, and the export formats.
 
-The Prometheus/Chrome exporters are validated with the same checkers
-(``tools/check_trace_outputs.py``) the CI trace-export smoke job runs,
-so the test suite and CI cannot disagree about what "valid" means.
+The Prometheus/Chrome exporters are validated with the format checkers
+of ``tests/trace_checkers.py``, which the service and CLI tests also run
+against real ``GET /metrics`` and ``repro solve`` output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from check_trace_outputs import check_chrome_trace, check_prometheus_text
 from repro import telemetry
 from repro.telemetry import (
     BUCKET_BASE,
@@ -28,6 +27,7 @@ from repro.telemetry import (
     write_chrome_trace,
     write_jsonl,
 )
+from tests.trace_checkers import check_chrome_trace, check_prometheus_text
 
 
 def _collector_with_data() -> TelemetryCollector:
@@ -98,16 +98,16 @@ class TestQuantileHistogram:
         assert clone.p90 == histogram.p90
 
     def test_legacy_payload_without_buckets(self):
-        # Trace files written before log-bucketing carried only the
-        # streaming aggregates; quantiles degrade to interpolation.
-        legacy = Histogram.from_dict(
-            {"count": 10, "total": 55.0, "min": 1.0, "max": 10.0}
-        )
-        assert legacy.count == 10
-        assert legacy.buckets == {}
-        assert legacy.quantile(0.0) == 1.0
-        assert legacy.quantile(1.0) == 10.0
-        assert legacy.quantile(0.5) == pytest.approx(5.5)
+        # A count the bucket table does not hold has unknown quantiles.
+        with pytest.raises(ValueError, match="observations"):
+            Histogram.from_dict(
+                {"count": 10, "total": 55.0, "min": 1.0, "max": 10.0}
+            )
+        with pytest.raises(ValueError, match="observations"):
+            Histogram.from_dict(
+                {"count": 3, "total": 3.0, "min": 0.0, "max": 2.0,
+                 "underflow": 1, "buckets": {"4": 1}}
+            )
 
 
 class TestCollectorMerge:
