@@ -33,7 +33,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -341,6 +341,13 @@ class ExecutionEngine:
             total = sum(merged.values())
             return {key: count / total for key, count in merged.items()}
 
+    @staticmethod
+    def _count_execution() -> None:
+        """Count one execution and pass the ``engine.execute`` fault point."""
+        telemetry.add("engine.executions")
+        faults.point("engine.execute")
+        telemetry.add("circuits.executed")
+
     def sample_ansatz(
         self,
         spec: AnsatzSpec,
@@ -353,9 +360,10 @@ class ExecutionEngine:
         spec's dense fast path (or simulates the bound circuit) and
         samples only when ``shots`` is given.
         """
-        telemetry.add("engine.executions")
-        faults.point("engine.execute")
-        telemetry.add("circuits.executed")
+        if self.backend is None and shots is None:
+            support, probabilities = self.exact_support(spec, parameters)
+            return dict(zip(support.tolist(), probabilities.tolist()))
+        self._count_execution()
         if self.backend is not None:
             circuit = self.ansatz_circuit(spec, parameters)
             shots = shots or 1024
@@ -363,18 +371,38 @@ class ExecutionEngine:
             counts = self.backend.run(circuit, shots)
             total = sum(counts.values())
             return {key: count / total for key, count in counts.items()}
-        if spec.statevector is not None:
-            state = spec.statevector(np.asarray(parameters, dtype=float))
-            probabilities = np.abs(state) ** 2
-        else:
-            circuit = self.ansatz_circuit(spec, parameters)
-            probabilities = StatevectorSimulator().probabilities(circuit)
-        if shots is None:
-            support = np.flatnonzero(probabilities > 1e-12)
-            return dict(zip(support.tolist(), probabilities[support].tolist()))
+        probabilities = self._dense_probabilities(spec, parameters)
         telemetry.add("shots.total", shots)
         counts = counts_from_probabilities(probabilities, shots, self._rng)
         return {key: count / shots for key, count in counts.items()}
+
+    def exact_support(
+        self, spec: AnsatzSpec, parameters: Sequence[float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact output of an ansatz as ``(support, probabilities)``.
+
+        ``support`` holds the keys above ``1e-12`` probability in
+        increasing order and ``probabilities`` their probabilities: the
+        items of the exact :meth:`sample_ansatz` dict, as two arrays.
+
+        Raises:
+            SolverError: when the engine has a backend.
+        """
+        if self.backend is not None:
+            raise SolverError("exact_support needs an exact engine (no backend)")
+        self._count_execution()
+        probabilities = self._dense_probabilities(spec, parameters)
+        support = np.flatnonzero(probabilities > 1e-12)
+        return support, probabilities[support]
+
+    def _dense_probabilities(
+        self, spec: AnsatzSpec, parameters: Sequence[float]
+    ) -> np.ndarray:
+        if spec.statevector is not None:
+            state = spec.statevector(np.asarray(parameters, dtype=float))
+            return np.abs(state) ** 2
+        circuit = self.ansatz_circuit(spec, parameters)
+        return StatevectorSimulator().probabilities(circuit)
 
     def sample_distribution(
         self, probabilities: np.ndarray, shots: int
@@ -384,9 +412,7 @@ class ExecutionEngine:
         The measurement path for algorithms that evolve state themselves
         (Grover adaptive search, the quantum annealer).
         """
-        telemetry.add("engine.executions")
-        faults.point("engine.execute")
-        telemetry.add("circuits.executed")
+        self._count_execution()
         telemetry.add("shots.total", shots)
         return counts_from_probabilities(probabilities, shots, self._rng)
 

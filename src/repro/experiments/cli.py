@@ -331,15 +331,23 @@ def _add_spill_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _solve_main(argv: List[str]) -> int:
+    args = build_solve_parser().parse_args(argv)
+    if args.spill_dir is None:
+        return _solve_with(args)
+    from repro.pipeline import configure_cache
+
+    previous_cache = configure_cache(spill_dir=args.spill_dir)
+    try:
+        return _solve_with(args)
+    finally:
+        configure_cache(previous_cache)
+
+
+def _solve_with(args: argparse.Namespace) -> int:
     from repro.core.solver import RasenganConfig, RasenganSolver
     from repro.problems.registry import make_benchmark
     from repro.service.jobs import JobTimeoutError, run_with_deadline
 
-    args = build_solve_parser().parse_args(argv)
-    if args.spill_dir is not None:
-        from repro.pipeline import configure_cache
-
-        configure_cache(spill_dir=args.spill_dir)
     config = RasenganConfig(
         shots=args.shots,
         max_iterations=args.iterations,

@@ -123,18 +123,18 @@ class TestSolveSubcommand:
         assert {"engine.map", "restart"} <= {event["name"] for event in events}
 
     def test_solve_reuses_spilled_artifacts(self, capsys, tmp_path):
-        from repro.pipeline import configure_cache, get_default_cache
+        from repro.pipeline import get_default_cache
 
         argv = ["solve", "F1", "--seed", "7", "--shots", "128",
                 "--iterations", "6", "--spill-dir", str(tmp_path)]
         default = get_default_cache()
-        try:
-            assert main(argv) == 0
-            cold = capsys.readouterr().out
-            assert main(argv) == 0
-            warm = capsys.readouterr().out
-        finally:
-            configure_cache(default)
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        # The spill cache lives for one command only.
+        assert get_default_cache() is default
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert get_default_cache() is default
         assert warm == cold
         # One content-addressed file per pre-execution stage.
         config = '{"seed": 7, "shots": 128, "max_iterations": 6}'

@@ -130,6 +130,7 @@ class TestRegistry:
             "key-table-vs-direct",
             "dense-ansatz-vs-circuit",
             "segment-step-vs-reference",
+            "baseline-score-vs-dict",
         } <= names
 
     def test_unknown_name_rejected(self):
