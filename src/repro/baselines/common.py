@@ -10,15 +10,16 @@ Training minimises the expected penalty energy of the output
 distribution with COBYLA, matching the paper's protocol (Section 5.1).
 In exact mode the output is scored as one array product against the
 problem's cached penalty vector; a sampled or backend output is scored
-per key.  Both reduce with :func:`left_to_right_sum`, so they give the
-same bits.
+per key.  Both reduce with
+:func:`~repro.linalg.summation.left_to_right_sum`, so they give the same
+bits.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -33,32 +34,12 @@ from repro.engine import (
     parameter_vector,
 )
 from repro.engine.registry import BackendSpec
+from repro.linalg.summation import left_to_right_sum
 from repro.metrics.arg import approximation_ratio_gap
 from repro.pipeline import compile_ansatz
 from repro.problems.base import ConstrainedBinaryProblem
 from repro.simulators.seeding import SeedBank, make_rng
 from repro import telemetry
-
-
-def left_to_right_sum(terms: Iterable[float]) -> float:
-    """``0.0 + t0 + t1 + ...``, added strictly in order.
-
-    The one reduction of baseline scoring.  Builtin ``sum`` adds in order
-    up to Python 3.11 but compensates from 3.12 on, and ``np.sum`` adds
-    pairwise.  An array is reduced with ``np.cumsum``, which adds in
-    order; any other iterable with a plain loop.  Both give the same
-    bits.
-    """
-    if isinstance(terms, np.ndarray):
-        if terms.size == 0:
-            return 0.0
-        # ``+ 0.0`` turns an all ``-0.0`` total into ``0.0``, as the
-        # loop's start from ``0.0`` does.
-        return float(np.cumsum(terms)[-1]) + 0.0
-    total = 0.0
-    for term in terms:
-        total += term
-    return float(total)
 
 
 @dataclass

@@ -430,6 +430,9 @@ _MACRO_COUNTERS = (
     "optimizer.iterations",
     "shots.total",
 )
+#: Reads 0: a solve never compiles depth accounting, so any drift here
+#: means the circuit stage crept back onto the solve path.
+_MACRO_RASENGAN_COUNTERS = _MACRO_COUNTERS + ("pipeline.computed.circuit",)
 
 for _index, (_family, _baseline) in enumerate(_MACRO_FAMILIES):
     _quick = ("macro", "quick") if _family == "F1" else ("macro",)
@@ -439,7 +442,7 @@ for _index, (_family, _baseline) in enumerate(_MACRO_FAMILIES):
         "(exact engine, 10 iterations)",
         suites=_quick,
         seed=200 + _index,
-        counters=_MACRO_COUNTERS,
+        counters=_MACRO_RASENGAN_COUNTERS,
         setup=_macro_setup(_family),
     )(_macro_rasengan_run)
     register_workload(

@@ -20,6 +20,8 @@ from typing import Dict, List, Sequence, Tuple  # noqa: F401 (Tuple in hints)
 
 import numpy as np
 
+from repro.linalg.summation import left_to_right_sum
+
 
 @dataclass(frozen=True)
 class SegmentPlan:
@@ -110,7 +112,7 @@ def allocate_shots(
         raise ValueError("shots must be non-negative")
     if not distribution:
         return {}
-    total = sum(distribution.values())
+    total = left_to_right_sum(distribution.values())
     if total <= 0:
         raise ValueError("distribution has no mass")
     keys = sorted(distribution)

@@ -236,11 +236,12 @@ def _run_restart(task) -> Tuple[np.ndarray, List[float]]:
 class RasenganSolver:
     """Variational solver: thin orchestration over the staged pipeline.
 
-    Construction compiles the problem through the five pre-execution
-    passes (basis → hamiltonian → prune → segmentation → circuit) of a
-    :class:`~repro.pipeline.SolvePipeline`, reusing any artifact the
-    content-addressed cache already holds; :meth:`solve` then trains the
-    evolution times through the terminal (uncached) execution stage.
+    Construction compiles the passes a solve reads (basis → hamiltonian
+    → prune → segmentation) of a :class:`~repro.pipeline.SolvePipeline`,
+    reusing any artifact the content-addressed cache holds; the
+    ``circuit`` pass (depth accounting) runs on the first read of
+    :attr:`circuit_artifact`.  :meth:`solve` trains the evolution times
+    through the terminal (uncached) execution stage.
 
     Args:
         problem: the problem instance.
@@ -275,13 +276,12 @@ class RasenganSolver:
         self.pipeline = SolvePipeline(
             problem, self.config, cache=artifact_cache
         )
-        artifacts = self.pipeline.compile()
-        self.initial_bits = artifacts["prune"].initial_bits
-        self.basis = artifacts["hamiltonian"].basis
-        self.pruned = artifacts["prune"].pruned
-        self.schedule: List[int] = list(artifacts["prune"].schedule)
-        self.plan = artifacts["segmentation"].plan
-        self.circuit_artifact: CircuitArtifact = artifacts["circuit"]
+        prune = self.pipeline.artifact("prune")
+        self.initial_bits = prune.initial_bits
+        self.basis = self.pipeline.artifact("hamiltonian").basis
+        self.pruned = prune.pruned
+        self.schedule: List[int] = list(prune.schedule)
+        self.plan = self.pipeline.artifact("segmentation").plan
         self.chain = TransitionChainSpec(
             self.basis, self.schedule, problem.num_variables
         )
@@ -295,6 +295,11 @@ class RasenganSolver:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def circuit_artifact(self) -> CircuitArtifact:
+        """Depth accounting, compiled (or reused) on first read."""
+        return self.pipeline.artifact("circuit")
+
     @property
     def num_parameters(self) -> int:
         """One evolution time per retained transition."""

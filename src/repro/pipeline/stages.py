@@ -40,6 +40,7 @@ from repro.core.simplify import simplify_basis
 from repro.core.transition import transition_chain_circuit
 from repro.linalg.bitvec import bits_to_int
 from repro.linalg.moves import augment_moves_for_connectivity
+from repro.linalg.summation import left_to_right_sum
 from repro.pipeline.artifacts import (
     Artifact,
     BasisArtifact,
@@ -345,7 +346,7 @@ class ExecutionStage:
             kept = {k: p for k, p in distribution.items() if p >= threshold}
             if not kept:
                 kept = distribution
-            mass = sum(kept.values())
+            mass = left_to_right_sum(kept.values())
             distribution = {k: p / mass for k, p in kept.items()}
         return distribution, rate
 

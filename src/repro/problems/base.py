@@ -28,6 +28,7 @@ from repro.linalg.feasible import (
 )
 from repro.linalg.moves import augment_moves_for_connectivity
 from repro.linalg.nullspace import integer_nullspace
+from repro.linalg.summation import left_to_right_sum
 
 
 class ConstrainedBinaryProblem(abc.ABC):
@@ -247,7 +248,7 @@ class ConstrainedBinaryProblem(abc.ABC):
                 scored); when ``None``, infeasible samples are scored by
                 their raw value.
         """
-        total = sum(counts.values())
+        total = left_to_right_sum(counts.values())
         if total == 0:
             raise ProblemError("empty counts")
         acc = 0.0
@@ -261,10 +262,10 @@ class ConstrainedBinaryProblem(abc.ABC):
 
     def in_constraints_rate(self, counts: Dict[int, int]) -> float:
         """Fraction of measured shots that satisfy ``C x = b``."""
-        total = sum(counts.values())
+        total = left_to_right_sum(counts.values())
         if total == 0:
             return 0.0
-        feasible = sum(
+        feasible = left_to_right_sum(
             count for key, count in counts.items() if self.key_entry(key)[1] == 0
         )
         return feasible / total

@@ -23,7 +23,8 @@ Jobs that are *not* whole-job identical still coalesce at **stage**
 granularity: the service installs a shared
 :class:`~repro.pipeline.cache.ArtifactCache`, so two jobs over the same
 problem that differ only in shots, seed, or optimizer budget share every
-pre-execution pipeline artifact (basis through circuit).  Each job's
+pre-execution pipeline artifact (basis through segmentation; a solve
+never compiles the depth-accounting circuit stage).  Each job's
 ``pipeline`` timeline event records which stages were cache hits.
 """
 

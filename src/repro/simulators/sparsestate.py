@@ -25,6 +25,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Instruction, gate_category, single_qubit_matrix
 from repro.exceptions import SimulationError
 from repro.linalg.bitvec import bits_to_int, int_to_bits
+from repro.linalg.summation import left_to_right_sum
 from repro import telemetry
 
 #: Amplitudes smaller than this fraction of the state norm are dropped
@@ -74,7 +75,9 @@ class SparseState:
     # Basic queries
     # ------------------------------------------------------------------
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(
+            left_to_right_sum(abs(a) ** 2 for a in self.amplitudes.values())
+        )
 
     def normalize(self) -> None:
         norm = self.norm()

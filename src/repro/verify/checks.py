@@ -653,11 +653,14 @@ def _reference_segment_loop(solver, times, rng) -> Tuple[Dict[int, float], float
     :func:`partner_key_from_masks` with the masks re-derived for every
     transition, ``clip``/``sum``/``isfinite`` shot sampling, then separate
     feasible-mass, purification and drop passes.  Kept here so the
-    optimised engine path always has an independent oracle.
+    optimised engine path always has an independent oracle.  Norms and
+    the drop mass reduce in order, as the engine path does, so the two
+    agree on every interpreter.
     """
     from repro.exceptions import SimulationError
     from repro.linalg.bitvec import bits_to_int
     from repro.linalg.moves import move_masks, partner_key_from_masks
+    from repro.linalg.summation import left_to_right_sum
     from repro.simulators.sparsestate import PRUNE_TOLERANCE
 
     config, entry, chain = solver.config, solver.problem.key_entry, solver.chain
@@ -667,7 +670,9 @@ def _reference_segment_loop(solver, times, rng) -> Tuple[Dict[int, float], float
         amplitudes = {
             k: complex(math.sqrt(p)) for k, p in distribution.items() if p > 0
         }
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
+        norm = math.sqrt(
+            left_to_right_sum(abs(a) ** 2 for a in amplitudes.values())
+        )
         amplitudes = {k: a / norm for k, a in amplitudes.items()}
         for position in segment:
             u = np.asarray(chain.basis[chain.schedule[position]], dtype=np.int64)
@@ -685,7 +690,9 @@ def _reference_segment_loop(solver, times, rng) -> Tuple[Dict[int, float], float
                     continue
                 updated[key] = updated.get(key, 0.0) + cos * amp
                 updated[partner] = updated.get(partner, 0.0) - 1j * sin * amp
-            norm = math.sqrt(sum(abs(a) ** 2 for a in updated.values()))
+            norm = math.sqrt(
+                left_to_right_sum(abs(a) ** 2 for a in updated.values())
+            )
             amplitudes = {
                 k: a for k, a in updated.items() if abs(a) > PRUNE_TOLERANCE * norm
             }
@@ -717,7 +724,7 @@ def _reference_segment_loop(solver, times, rng) -> Tuple[Dict[int, float], float
         }
         if not kept:
             kept = distribution
-        mass = sum(kept.values())
+        mass = left_to_right_sum(kept.values())
         distribution = {k: p / mass for k, p in kept.items()}
     return distribution, rate
 

@@ -9,10 +9,13 @@ import pytest
 
 from repro import telemetry
 from repro.baselines import ChocoQ, HardwareEfficientAnsatz, PenaltyQAOA
-from repro.baselines.common import VariationalBaseline, left_to_right_sum
+from repro.baselines import common
+from repro.baselines.common import VariationalBaseline
 from repro.engine import AnsatzSpec, ExecutionEngine
 from repro.exceptions import SolverError
+from repro.linalg.summation import left_to_right_sum
 from repro.problems import make_benchmark
+from repro.simulators.sparsestate import SparseState
 
 
 def _dict_path_loss(baseline, parameters):
@@ -43,6 +46,44 @@ class TestLeftToRightSum:
             total = left_to_right_sum(container(terms))
             assert type(total) is float
             assert total == 0.0 and math.copysign(1.0, total) == 1.0
+
+
+class TestLeftToRightCallSites:
+    """The Rasengan path's float reductions add in order on every Python.
+
+    Each case has a left-to-right total that Python 3.12's compensated
+    builtin ``sum`` would round differently.
+    """
+
+    def test_baselines_share_the_one_helper(self):
+        assert common.left_to_right_sum is left_to_right_sum
+
+    def test_sparse_state_norm(self):
+        # Ten |0.1+0.2j|**2 terms: 0.5 in order, 0.5000000000000001
+        # compensated.
+        state = SparseState(4, {key: 0.1 + 0.2j for key in range(10)})
+        assert math.fsum([abs(0.1 + 0.2j) ** 2] * 10) != 0.5
+        assert state.norm() == math.sqrt(0.5)
+
+    def test_problem_count_reductions(self):
+        problem = make_benchmark("F1")
+        entry = problem.key_entry
+        keys = range(2**problem.num_variables)
+        feasible = [key for key in keys if entry(key)[1] == 0][:3]
+        infeasible = [key for key in keys if entry(key)[1] != 0][:7]
+        # Ten 0.1 weights: 0.9999999999999999 in order, 1.0 compensated.
+        counts = {key: 0.1 for key in feasible + infeasible}
+        total = feasible_mass = score = 0.0
+        for key, weight in counts.items():
+            total += weight
+            score += entry(key)[0] * weight
+            if entry(key)[1] == 0:
+                feasible_mass += weight
+        assert total != math.fsum(counts.values())
+        assert problem.in_constraints_rate(counts) == feasible_mass / total
+        assert feasible_mass / total != feasible_mass / 1.0
+        assert problem.expectation_from_counts(counts) == score / total
+        assert score / total != score / 1.0
 
 
 def _assert_same_result(result, other):

@@ -10,10 +10,13 @@ Covers the pipeline contract end to end:
   spill format, treats torn files as misses, and is LRU-bounded;
 * a warm-cache solve is bit-identical to the cold solve that populated
   the cache, while skipping every pre-execution stage;
+* a solve never compiles the ``circuit`` stage; its depth accounting
+  compiles on first read;
 * the deprecation shims keep pre-pipeline import paths working (with a
   ``DeprecationWarning``) for one release.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -38,6 +41,8 @@ from repro.problems.io import problem_fingerprint, problem_to_dict
 from repro.problems.registry import make_benchmark
 
 STAGES = ["basis", "hamiltonian", "prune", "segmentation", "circuit"]
+#: What a solve compiles: depth accounting (``circuit``) is read on demand.
+SOLVE_READS = STAGES[:-1]
 
 
 def small_problem():
@@ -281,7 +286,7 @@ class TestSolverIntegration:
         )
         assert [entry["source"] for entry in warm.pipeline.report] == [
             "cache"
-        ] * 5
+        ] * len(SOLVE_READS)
 
     def test_solver_legacy_surface_matches_artifacts(self):
         solver = RasenganSolver(
@@ -386,6 +391,102 @@ class TestAnsatzCompilation:
         )
 
 
+class TestLazyCircuitStage:
+    """A solve compiles through segmentation; depths compile on demand."""
+
+    def _solver(self, **overrides):
+        config = RasenganConfig(
+            **{"seed": 3, "shots": None, "max_iterations": 5, **overrides}
+        )
+        return RasenganSolver(
+            small_problem(),
+            config=config,
+            artifact_cache=ArtifactCache(),
+        )
+
+    def test_solve_never_compiles_the_circuit_stage(self):
+        with telemetry.session() as collector:
+            solver = self._solver()
+            solver.solve()
+        assert collector.counter("pipeline.computed.circuit") == 0
+        assert collector.counter("pipeline.computed.segmentation") == 1
+        assert [entry["stage"] for entry in solver.pipeline.report] == (
+            SOLVE_READS
+        )
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda solver: solver.circuit_artifact,
+            lambda solver: solver.segment_two_qubit_cost(),
+        ],
+        ids=["circuit_artifact", "segment_two_qubit_cost"],
+    )
+    def test_first_read_computes_the_stage_once(self, read):
+        solver = self._solver()
+        with telemetry.session() as collector:
+            read(solver)
+        assert collector.counter("pipeline.computed.circuit") == 1
+        with telemetry.session() as collector:
+            read(solver)
+            solver.chain_two_qubit_cost()
+        assert collector.counter("pipeline.computed.circuit") == 0
+        assert collector.counter("pipeline.cache.hits") == 0
+        assert [entry["stage"] for entry in solver.pipeline.report] == STAGES
+
+    def test_lazy_artifact_equals_full_compile(self):
+        solver = self._solver()
+        lazy = solver.circuit_artifact
+        eager = SolvePipeline(
+            solver.problem, solver.config, cache=ArtifactCache()
+        ).compile()["circuit"]
+        assert isinstance(lazy, CircuitArtifact)
+        for field in dataclasses.fields(CircuitArtifact):
+            assert getattr(lazy, field.name) == getattr(eager, field.name)
+
+    # The Table 1/2 depth columns (deepest segment, decomposed): reading
+    # depth accounting after the solve must not move them.
+    @pytest.mark.parametrize(
+        "benchmark_id, depth, depth_2q",
+        [
+            ("F1", 51, 28),
+            ("K1", 51, 28),
+            ("J1", 8, 4),
+            ("G1", 424, 210),
+            ("F2", 146, 75),
+        ],
+    )
+    def test_runner_depth_columns_unchanged(self, benchmark_id, depth, depth_2q):
+        from repro.experiments.runner import run_algorithm
+
+        run = run_algorithm(
+            "rasengan",
+            make_benchmark(benchmark_id, case=0),
+            max_iterations=3,
+            seed=0,
+            restarts=1,
+        )
+        assert (run.executed_depth, run.executed_depth_2q) == (
+            depth,
+            depth_2q,
+        )
+
+    def test_parallel_restarts_match_serial_without_the_stage(self):
+        serial = self._solver(restarts=2).solve().to_json_dict()
+        solver = self._solver(restarts=2, engine_workers=2)
+        try:
+            with telemetry.session() as collector:
+                parallel = solver.solve().to_json_dict()
+        finally:
+            solver.engine.close()
+        assert json.dumps(parallel, sort_keys=True) == json.dumps(
+            serial, sort_keys=True
+        )
+        assert collector.counter("pipeline.computed.circuit") == 0
+        shipped = pickle.loads(pickle.dumps(solver))
+        assert "circuit" not in shipped.pipeline._artifacts
+
+
 class TestServiceTimeline:
     def test_jobs_report_stage_hits_in_their_timeline(self):
         from repro.service.workers import SolverService
@@ -406,7 +507,7 @@ class TestServiceTimeline:
             for job in (first, second)
         }
         assert all(len(found) == 1 for found in events.values())
-        assert [s["stage"] for s in events[first][0]["stages"]] == STAGES
+        assert [s["stage"] for s in events[first][0]["stages"]] == SOLVE_READS
         # Different seed = different job fingerprint, but every
         # pre-execution artifact coalesces at stage granularity.
         assert all(
@@ -498,6 +599,6 @@ class TestCustomProblemFallback:
         assert all(
             entry["source"] == "cache" for entry in solver.pipeline.report
         )
-        assert collector.counter("pipeline.cache.hits") == len(STAGES)
+        assert collector.counter("pipeline.cache.hits") == len(SOLVE_READS)
         result = solver.solve()
         assert result.best_sampled_value is not None

@@ -242,9 +242,10 @@ class TestSolverIntegration:
             "pipeline.hamiltonian",
             "pipeline.prune",
             "pipeline.segmentation",
-            "pipeline.circuit",
             "solve",
         } <= names
+        # Depth accounting is compiled on demand, never by a solve.
+        assert "pipeline.circuit" not in names
         # ...per-segment execution and a simulator-level span.
         assert "segment" in names
         assert "sparse.evolve" in names
