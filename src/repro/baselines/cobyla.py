@@ -25,6 +25,14 @@ What runs here, and why each simplification is exact at m = 0:
   head of every trust-region step and after every reduction of rho;
   only the first call can change anything (the argument is in
   :func:`minimize_unconstrained`).
+* **The initial** ``simi`` (:func:`_initxfc`).  ``initxfc`` leaves a
+  lower triangular ``sim[:, :n]`` with diagonal ``±rhobeg`` and inverts
+  it with ``inv``.  Its inverse is built in closed form instead
+  (:func:`~repro.baselines.simplex.initial_simplex_inverse`): every
+  entry is ``0`` or ``±fl(1 / rhobeg)``, LAPACK's bits, signed zeros
+  included, whenever ``rhobeg * (1.0 / rhobeg) == 1.0``, because the LU
+  multipliers are then exactly ±1.  When that guard fails ``inv`` runs
+  as in pyprima.  The argument is in :mod:`repro.baselines.simplex`.
 * **The simplex update** (:func:`_updatexfc`): both rank-one branches
   as pyprima writes them, including the builtin ``sum`` of one branch
   and the aliasing of ``sim_old = sim``.
@@ -129,6 +137,7 @@ from scipy._lib.pyprima.common.ratio import redrat
 from scipy._lib.pyprima.common.redrho import redrho
 
 from repro.baselines.optimizer import check_finite_loss
+from repro.baselines.simplex import initial_simplex_inverse
 
 #: scipy's ``tol`` default for COBYLA, passed to PRIMA as ``rhoend``.
 RHOEND = 1e-4
@@ -411,7 +420,8 @@ def _initxfc(
 
     Evaluates ``x0 + rhobeg * e_j`` for each j; whenever a vertex beats
     the pole it becomes the pole, which keeps ``sim[:, :n]`` lower
-    triangular.  ``simi`` is ``inv(sim[:, :n])`` once every vertex is in.
+    triangular.  ``simi`` is ``inv(sim[:, :n])`` once every vertex is
+    in, written down in closed form where that gives ``inv``'s bits.
     """
     num_vars = x0.size
     sim = np.eye(num_vars, num_vars + 1) * rhobeg
@@ -439,7 +449,7 @@ def _initxfc(
             sim[:, num_vars] = x
             sim[j, : j + 1] = -rhobeg
     if evaluated.all():
-        simi = np.linalg.inv(sim[:, :num_vars])
+        simi = initial_simplex_inverse(sim[:, :num_vars], rhobeg)
     return sim, simi, fval, evaluated, info
 
 

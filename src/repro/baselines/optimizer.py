@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import math
 import time
 from typing import Callable
 
@@ -61,11 +62,17 @@ def minimize_cobyla(
     ``x0`` is read as a 1-vector, as scipy reads it.
 
     Raises:
-        SolverError: when ``x0`` has more than one dimension, or holds a
-            NaN or an infinity (scipy would silently start from a
-            different point); or when ``loss`` returns a NaN or an
-            infinity (PRIMA would replace it, or work on with it).
+        SolverError: when ``rhobeg`` is not a finite positive number
+            (PRIMA would warn and start with a radius of 1); when ``x0``
+            has more than one dimension, or holds a NaN or an infinity
+            (scipy would silently start from a different point); or when
+            ``loss`` returns a NaN or an infinity (PRIMA would replace
+            it, or work on with it).
     """
+    if not (math.isfinite(rhobeg) and rhobeg > 0):
+        raise SolverError(
+            f"COBYLA rhobeg must be a finite positive number, got {rhobeg!r}"
+        )
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim != 1:
         raise SolverError(

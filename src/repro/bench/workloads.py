@@ -371,6 +371,32 @@ def _cobyla_run(target, iteration: int):
     )
 
 
+def _hea_simplex_setup(seed: int):
+    from repro.problems.registry import make_benchmark
+
+    return {"problem": make_benchmark("F2", case=0), "seed": seed}
+
+
+@register_workload(
+    "micro.baseline.hea_simplex",
+    description="minimize_cobyla of exact 5-layer HEA on F2 at budget "
+    "n_params + 2: the initial simplex and its inverse",
+    suites=("micro",),
+    seed=109,
+    counters=("optimizer.evaluations", "baselines.layers_applied"),
+    setup=_hea_simplex_setup,
+)
+def _hea_simplex_run(ctx, iteration: int):
+    from repro.baselines.hea import HardwareEfficientAnsatz
+    from repro.baselines.optimizer import minimize_cobyla
+
+    # A fresh ansatz per run, so every sample starts with an empty prefix memo.
+    hea = HardwareEfficientAnsatz(ctx["problem"], shots=None, seed=ctx["seed"])
+    return minimize_cobyla(
+        hea.loss, hea.initial_parameters(), max_iterations=hea.num_parameters + 2
+    )
+
+
 # ======================================================================
 # Macro workloads
 # ======================================================================

@@ -33,6 +33,7 @@ from repro.core.prune import build_schedule
 from repro.core.solver import RasenganConfig, RasenganSolver
 from repro.exceptions import NoFeasibleStateError
 from repro.linalg.bitvec import int_to_bits
+from repro.linalg.summation import left_to_right_sum
 from repro.metrics.arg import approximation_ratio_gap
 from repro.problems import FacilityLocationProblem
 
@@ -85,7 +86,7 @@ def _effective_noisy_execute(
             corrupted[corrupted_key] = corrupted.get(corrupted_key, 0.0) + scatter / 8
         distribution, _ = purify_probabilities(corrupted, problem)
         distribution = {k: p for k, p in distribution.items() if p > 1e-4}
-        total = sum(distribution.values())
+        total = left_to_right_sum(distribution.values())
         distribution = {k: p / total for k, p in distribution.items()}
     return distribution
 
@@ -113,7 +114,7 @@ def _trajectory_noisy_arg(
     )
     distribution, _ = solver.execute(times)
     n = problem.num_variables
-    expectation = sum(
+    expectation = left_to_right_sum(
         p * problem.value(int_to_bits(k, n)) for k, p in distribution.items()
     )
     return approximation_ratio_gap(problem.optimal_value, expectation)
@@ -152,7 +153,7 @@ def run_fig10(
                     solver, result.best_parameters, two_qubit_error, rng
                 )
                 n = problem.num_variables
-                expectation = sum(
+                expectation = left_to_right_sum(
                     p * problem.value(int_to_bits(k, n))
                     for k, p in distribution.items()
                 )

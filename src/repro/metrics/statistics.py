@@ -23,6 +23,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.linalg.summation import left_to_right_sum
+
 
 @dataclass(frozen=True)
 class Summary:
@@ -165,4 +167,4 @@ def geometric_mean(ratios: Iterable[float]) -> float:
     logs: List[float] = [math.log(r) for r in ratios if r > 0]
     if not logs:
         return float("nan")
-    return float(math.exp(sum(logs) / len(logs)))
+    return float(math.exp(left_to_right_sum(logs) / len(logs)))

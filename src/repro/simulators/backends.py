@@ -31,6 +31,7 @@ from repro.circuits.decompose import decompose_circuit
 from repro.circuits.gates import gate_category
 from repro.exceptions import SimulationError
 from repro.linalg.bitvec import bits_to_int
+from repro.linalg.summation import left_to_right_sum
 from repro.simulators.noise import KrausChannel, NoiseModel
 from repro.simulators.sampling import apply_readout_error, counts_from_probabilities
 from repro.simulators.seeding import SeedBank, SeedLike, make_rng
@@ -308,7 +309,7 @@ class NoisyTrajectoryBackend(TrajectoryBackend):
             weight = float(np.vdot(candidate, candidate).real)
             candidates.append(candidate)
             weights.append(weight)
-        total = sum(weights)
+        total = left_to_right_sum(weights)
         if total <= 0:
             raise SimulationError("trajectory collapsed to zero norm")
         probabilities = [w / total for w in weights]

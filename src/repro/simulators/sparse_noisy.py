@@ -27,6 +27,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_category
 from repro.exceptions import SimulationError
+from repro.linalg.summation import left_to_right_sum
 from repro.simulators.backends import TrajectoryBackend
 from repro.simulators.noise import KrausChannel, NoiseModel
 from repro.simulators.seeding import SeedLike
@@ -126,7 +127,7 @@ class SparseTrajectoryBackend(TrajectoryBackend):
             weight = candidate.norm() ** 2
             candidates.append(candidate)
             weights.append(weight)
-        total = sum(weights)
+        total = left_to_right_sum(weights)
         if total <= 0:
             raise SimulationError("trajectory collapsed to zero norm")
         probabilities = [w / total for w in weights]

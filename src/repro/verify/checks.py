@@ -1379,3 +1379,163 @@ def check_baseline_score_vs_dict(ctx: CheckContext) -> CheckOutput:
         payload_b,
         details={"support_and_qubits": supports},
     )
+
+
+# ----------------------------------------------------------------------
+# 14. COBYLA's initial simplex inverse: closed form vs inv
+# ----------------------------------------------------------------------
+#: 0.41 fails the closed form's guard, so inv serves it.
+_SIMPLEX_RHOBEGS = (0.5, 0.4, 0.3, 0.41)
+
+#: Every swap pattern up to this dimension is covered.
+_SIMPLEX_EXHAUSTIVE_N = 8
+
+#: Dimensions of the seeded patterns; 120 is HEA's on n = 10.
+_SIMPLEX_SEEDED_N = (64, 65, 96, 120, 130)
+
+
+def _initial_simplex(swapped: Sequence[bool], rhobeg: float) -> np.ndarray:
+    """``sim[:, :n]`` as ``initxfc`` leaves it for a swap pattern."""
+    basis = np.eye(len(swapped)) * rhobeg
+    for j, swap in enumerate(swapped):
+        if swap:
+            basis[j, : j + 1] = -rhobeg
+    return basis
+
+
+@register_check(
+    "simplex-inverse-vs-inv",
+    "np.linalg.inv of COBYLA's initial simplex vs the closed-form "
+    "inverse the driver builds, on every swap pattern up to n = 8 and "
+    "seeded patterns up to n = 130",
+    tolerance=0.0,
+)
+def check_simplex_inverse_vs_inv(ctx: CheckContext) -> CheckOutput:
+    """The closed-form initial ``simi`` must carry ``inv``'s bits.
+
+    Path A is ``np.linalg.inv``; path B is
+    :func:`~repro.baselines.simplex.initial_simplex_inverse`.  Signed
+    zeros count: the canonical JSON writes ``-0.0``.  The details count
+    the cases the guard sends to ``inv`` (every rhobeg = 0.41 case).
+    """
+    from itertools import product
+
+    from repro.baselines.simplex import initial_simplex_inverse
+
+    patterns: List[Tuple[str, Tuple[bool, ...]]] = []
+    for n in range(1, _SIMPLEX_EXHAUSTIVE_N + 1):
+        for swapped in product((False, True), repeat=n):
+            label = "".join("s" if swap else "." for swap in swapped)
+            patterns.append((f"n{n}/{label}", swapped))
+    for n in _SIMPLEX_SEEDED_N:
+        rng = ctx.rng(f"simplex-inverse-{n}")
+        for density in (0.1, 0.5, 0.9):
+            swapped = tuple(bool(b) for b in rng.random(n) < density)
+            patterns.append((f"n{n}/p{density}", swapped))
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    fallbacks = 0
+    for rhobeg in _SIMPLEX_RHOBEGS:
+        fallbacks += rhobeg * (1.0 / rhobeg) != 1.0
+        for label, swapped in patterns:
+            basis = _initial_simplex(swapped, rhobeg)
+            key = f"r{rhobeg}/{label}"
+            payload_a[key] = np.linalg.inv(basis)
+            payload_b[key] = initial_simplex_inverse(basis, rhobeg)
+    return CheckOutput(
+        "linalg-inv",
+        payload_a,
+        "closed-form",
+        payload_b,
+        details={"cases": len(payload_a), "inv_cases": fallbacks * len(patterns)},
+    )
+
+
+# ----------------------------------------------------------------------
+# 15. HEA's prefix memo vs a fresh ansatz per call
+# ----------------------------------------------------------------------
+def _cobyla_shaped_sequence(
+    rng: np.random.Generator, layers: int, width: int
+) -> List[Tuple[str, np.ndarray]]:
+    """Parameter vectors in the order COBYLA hands them to a loss.
+
+    The pole; single-coordinate vertices in every rotation row (first
+    and last coordinate of each); a vertex that beat the pole, so later
+    vertices move from it; a full step; a repeat; and a coordinate that
+    is ``0.0`` and then ``-0.0``.
+    """
+    rhobeg = 0.5
+    pole = rng.uniform(-0.1, 0.1, (layers + 1) * width)
+    sequence = [("pole", pole.copy())]
+    for row in range(layers + 1):
+        for j in (row * width, row * width + width - 1):
+            vertex = pole.copy()
+            vertex[j] += rhobeg
+            sequence.append((f"vertex/{j}", vertex))
+    swapped = sequence[-1][1]
+    for j in (0, swapped.size // 2):
+        vertex = swapped.copy()
+        vertex[j] += rhobeg
+        sequence.append((f"after-swap/{j}", vertex))
+    step = swapped + rng.normal(scale=0.1, size=swapped.size)
+    sequence.append(("full-step", step))
+    sequence.append(("repeat", step.copy()))
+    zero = step.copy()
+    zero[width // 2] = 0.0
+    negative_zero = zero.copy()
+    negative_zero[width // 2] = -0.0
+    sequence += [("zero", zero), ("negative-zero", negative_zero)]
+    return sequence
+
+
+@register_check(
+    "hea-prefix-vs-fresh",
+    "HardwareEfficientAnsatz.simulate reusing the last call's layer "
+    "prefix vs a fresh ansatz per call, on a COBYLA-shaped sequence",
+    tolerance=0.0,
+)
+def check_hea_prefix_vs_fresh(ctx: CheckContext) -> CheckOutput:
+    """HEA's prefix memo must give a fresh ansatz's bits.
+
+    Path A builds a new :class:`HardwareEfficientAnsatz` for every
+    vector; path B calls one ansatz through the whole sequence and
+    overwrites each state it returns, so a memo that handed out its own
+    array would corrupt the next call.  Cases: seeded F1 and F2 at 5
+    layers, and F1 at 0 and 1 layers.  The details record the rotation
+    layers path B applied, against ``layers + 1`` per call.
+    """
+    from repro import telemetry
+    from repro.baselines.hea import HardwareEfficientAnsatz
+    from repro.problems.registry import make_benchmark
+
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+    applied: Dict[str, List[float]] = {}
+    for benchmark_id, layers in (("F1", 5), ("F2", 5), ("F1", 0), ("F1", 1)):
+        case = f"{benchmark_id}/L{layers}"
+        rng = ctx.rng(f"hea-prefix-{case}")
+        problem = make_benchmark(benchmark_id, int(rng.integers(0, 400)))
+        width = 2 * problem.num_variables
+        sequence = _cobyla_shaped_sequence(rng, layers, width)
+        reused = HardwareEfficientAnsatz(problem, layers=layers, shots=None)
+        with telemetry.session() as collector:
+            for label, parameters in sequence:
+                fresh = HardwareEfficientAnsatz(problem, layers=layers, shots=None)
+                payload_a[f"{case}/{label}"] = fresh.simulate(parameters)
+                fresh.engine.close()
+            before = collector.counter("baselines.layers_applied")
+            for label, parameters in sequence:
+                state = reused.simulate(parameters)
+                payload_b[f"{case}/{label}"] = state.copy()
+                state[:] = np.nan
+            after = collector.counter("baselines.layers_applied")
+        reused.engine.close()
+        applied[case] = [after - before, float(len(sequence) * (layers + 1))]
+    return CheckOutput(
+        "fresh-ansatz",
+        payload_a,
+        "prefix-memo",
+        payload_b,
+        details={"layers_applied_vs_full": applied},
+    )

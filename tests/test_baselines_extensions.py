@@ -283,6 +283,19 @@ class TestCobylaOptimizer:
                 minimize_cobyla(loss, np.zeros(3), max_iterations=30)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    @pytest.mark.parametrize("bad", [0, -0.5, np.nan, np.inf])
+    def test_bad_rhobeg_rejected(self, monkeypatch, path, bad):
+        # PRIMA would warn "Invalid RHOBEG" and optimise with 1 instead.
+        if path == "scipy":
+            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=rf"rhobeg .* got {bad!r}$"):
+                minimize_cobyla(calls.append, np.zeros(3), rhobeg=bad)
+        assert calls == []
+
     def test_multidimensional_start_rejected(self):
         with pytest.raises(SolverError, match=r"shape \(2, 2\)"):
             minimize_cobyla(lambda x: 0.0, np.zeros((2, 2)))

@@ -131,6 +131,8 @@ class TestRegistry:
             "dense-ansatz-vs-circuit",
             "segment-step-vs-reference",
             "baseline-score-vs-dict",
+            "simplex-inverse-vs-inv",
+            "hea-prefix-vs-fresh",
         } <= names
 
     def test_unknown_name_rejected(self):
