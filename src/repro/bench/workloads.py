@@ -420,13 +420,18 @@ def _macro_setup(benchmark_id: str):
     return setup
 
 
-def _macro_rasengan_run(ctx, iteration: int):
+def _macro_rasengan_run(ctx, iteration: int, backend=None, **overrides):
     from repro.core.solver import RasenganConfig, RasenganSolver
     from repro.pipeline import ArtifactCache
 
-    config = RasenganConfig(seed=ctx["seed"], max_iterations=10, restarts=1)
+    config = RasenganConfig(
+        seed=ctx["seed"], max_iterations=10, restarts=1, **overrides
+    )
     solver = RasenganSolver(
-        ctx["problem"], config=config, artifact_cache=ArtifactCache()
+        ctx["problem"],
+        backend=backend,
+        config=config,
+        artifact_cache=ArtifactCache(),
     )
     try:
         return solver.solve()
@@ -480,6 +485,24 @@ for _index, (_family, _baseline) in enumerate(_MACRO_FAMILIES):
         counters=_MACRO_COUNTERS,
         setup=_macro_setup(_family),
     )(_macro_baseline_run(_baseline))
+
+
+# The noisy-hardware path of Figs. 11, 14 and 16: Kraus trajectories on the
+# decomposed circuits.  Macro suite only, so the quick gate is unchanged.
+@register_workload(
+    "macro.rasengan.F1.fake_kyiv",
+    description="end-to-end RasenganSolver solve on F1 on fake_kyiv "
+    "(256 shots over 16 trajectories, 10 iterations)",
+    suites=("macro",),
+    seed=230,
+    counters=("noise.trajectories", "gates.total", "backend.shots"),
+    setup=_macro_setup("F1"),
+)
+def _macro_fake_kyiv_run(ctx, iteration: int):
+    from repro.simulators.backends import fake_kyiv
+
+    backend = fake_kyiv(seed=ctx["seed"], max_trajectories=16)
+    return _macro_rasengan_run(ctx, iteration, backend=backend, shots=256)
 
 
 # ======================================================================

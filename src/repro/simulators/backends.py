@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from repro.circuits.decompose import decompose_circuit
 from repro.circuits.gates import gate_category
 from repro.exceptions import SimulationError
 from repro.linalg.bitvec import bits_to_int
-from repro.linalg.summation import left_to_right_sum
-from repro.simulators.noise import KrausChannel, NoiseModel
+from repro.simulators.noise import NoiseModel, draw_weighted
 from repro.simulators.sampling import apply_readout_error, counts_from_probabilities
 from repro.simulators.seeding import SeedBank, SeedLike, make_rng
 from repro.simulators.statevector import StatevectorSimulator, apply_instruction
@@ -132,7 +131,7 @@ class TrajectoryBackend(Backend):
 
     Each trajectory is one pure-state evolution where, after every gate of
     the decomposed circuit, a Kraus operator of each attached channel is
-    sampled with probability ``||K|psi>||^2``.  Shots are spread across
+    drawn by the law in :mod:`repro.simulators.noise`.  Shots are spread across
     ``max_trajectories`` trajectories (several measurement samples share a
     trajectory, a standard variance/cost trade-off).  Subclasses provide
     :meth:`_trajectory_probabilities` for their state representation.
@@ -211,7 +210,6 @@ class TrajectoryBackend(Backend):
                 seed=seeds[index],
             )
             for index in range(trajectories)
-            if base + (1 if index < remainder else 0) > 0
         ]
         counts: Dict[int, int] = {}
         with telemetry.span(
@@ -254,7 +252,12 @@ class TrajectoryBackend(Backend):
 
 
 class NoisyTrajectoryBackend(TrajectoryBackend):
-    """Dense-statevector Monte-Carlo Kraus-trajectory simulation."""
+    """Dense-statevector Monte-Carlo Kraus-trajectory simulation.
+
+    The Kraus draw is :mod:`repro.simulators.noise`'s; this class builds each
+    candidate ``K_i |psi>`` as a dense copy, weighs it by ``vdot`` and divides
+    the drawn one by the square root of its weight.
+    """
 
     def _trajectory_probabilities(
         self,
@@ -263,17 +266,7 @@ class NoisyTrajectoryBackend(TrajectoryBackend):
         initial_bits: Optional[Sequence[int]],
         rng: np.random.Generator,
     ) -> np.ndarray:
-        state = self._run_trajectory(flat, num_qubits, initial_bits, rng)
-        return np.abs(state) ** 2
-
-    # ------------------------------------------------------------------
-    def _run_trajectory(
-        self,
-        flat: QuantumCircuit,
-        n: int,
-        initial_bits: Optional[Sequence[int]],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+        n = num_qubits
         state = np.zeros(1 << n, dtype=np.complex128)
         start = bits_to_int(initial_bits) if initial_bits is not None else 0
         state[start] = 1.0
@@ -284,39 +277,19 @@ class NoisyTrajectoryBackend(TrajectoryBackend):
             width = 1 if gate_category(instr) == "1q" else 2
             for channel in self.noise_model.channels_for(width):
                 for qubit in instr.qubits:
-                    state = self._sample_kraus(state, channel, qubit, n, rng)
-        return state
-
-    def _sample_kraus(
-        self,
-        state: np.ndarray,
-        channel: KrausChannel,
-        qubit: int,
-        n: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if channel.is_unitary_mixture:
-            probabilities, unitaries = channel.unitary_mixture
-            choice = rng.choice(len(probabilities), p=probabilities)
-            unitary = unitaries[choice]
-            if np.allclose(unitary, np.eye(2)):
-                return state
-            return apply_single_qubit(state, unitary, qubit, n)
-        candidates: List[np.ndarray] = []
-        weights: List[float] = []
-        for op in channel.operators:
-            candidate = apply_single_qubit(state.copy(), op, qubit, n)
-            weight = float(np.vdot(candidate, candidate).real)
-            candidates.append(candidate)
-            weights.append(weight)
-        total = left_to_right_sum(weights)
-        if total <= 0:
-            raise SimulationError("trajectory collapsed to zero norm")
-        probabilities = [w / total for w in weights]
-        choice = rng.choice(len(candidates), p=probabilities)
-        chosen = candidates[choice]
-        norm = np.sqrt(weights[choice])
-        return chosen / norm
+                    if channel.is_unitary_mixture:
+                        unitary = channel.draw_unitary(rng)
+                        if unitary is not None:
+                            state = apply_single_qubit(state, unitary, qubit, n)
+                        continue
+                    candidates = [
+                        apply_single_qubit(state.copy(), op, qubit, n)
+                        for op in channel.operators
+                    ]
+                    weights = [float(np.vdot(c, c).real) for c in candidates]
+                    choice = draw_weighted(weights, rng)
+                    state = candidates[choice] / np.sqrt(weights[choice])
+        return np.abs(state) ** 2
 
 
 # ----------------------------------------------------------------------

@@ -9,19 +9,24 @@ error rate (Section 5.4).  This module provides those channels plus a
 Channels are used in two ways:
 
 * exactly, by :class:`repro.simulators.density.DensityMatrixSimulator`;
-* stochastically, by the trajectory backend, which samples one Kraus
-  operator per application with probability ``||K_i |psi>||^2``.
+* stochastically, by the trajectory backends, which take one Kraus
+  operator per application: a mixture's by :meth:`KrausChannel.draw_unitary`,
+  any other by :func:`draw_weighted` on the weights ``||K_i |psi>||^2``.
+  Both bisect one ``rng.random()`` into the CDF ``Generator.choice`` builds,
+  so a seeded trajectory takes the operators ``rng.choice`` would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.linalg.summation import left_to_right_sum
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,6 +38,12 @@ PAULIS = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely-positive trace-preserving map on one qubit.
+
+    Construction validates once what a draw relies on: trace preservation
+    and a mixture's probabilities (finite, non-negative, one per unitary,
+    summing to 1 within ``Generator.choice``'s ``sqrt(eps)``).  It stores
+    the mixture's CDF, and ``None`` for each ``np.allclose(u, I)`` unitary,
+    so drawing the identity applies nothing.
 
     Attributes:
         name: human-readable channel name.
@@ -46,6 +57,8 @@ class KrausChannel:
     name: str
     operators: Tuple[np.ndarray, ...]
     unitary_mixture: Optional[Tuple[Tuple[float, ...], Tuple[np.ndarray, ...]]] = None
+    _cdf: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _draws: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = sum(op.conj().T @ op for op in self.operators)
@@ -53,10 +66,59 @@ class KrausChannel:
             raise SimulationError(
                 f"channel {self.name!r} is not trace preserving"
             )
+        object.__setattr__(self, "_cdf", ())
+        object.__setattr__(self, "_draws", ())
+        if self.unitary_mixture is None:
+            return
+        probabilities, unitaries = self.unitary_mixture
+        p = np.asarray(probabilities, dtype=np.float64)
+        if (
+            p.shape != (len(unitaries),)
+            or not np.isfinite(p).all()
+            or (p < 0).any()
+            or abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps)
+        ):
+            raise SimulationError(
+                f"channel {self.name!r}: mixture probabilities {probabilities} "
+                "must be finite, non-negative, one per unitary and sum to 1"
+            )
+        draws = tuple(None if np.allclose(u, np.eye(2)) else u for u in unitaries)
+        object.__setattr__(self, "_cdf", _cdf(p))
+        object.__setattr__(self, "_draws", draws)
 
     @property
     def is_unitary_mixture(self) -> bool:
         return self.unitary_mixture is not None
+
+    def draw_unitary(self, rng: np.random.Generator) -> Optional[np.ndarray]:
+        """The unitary ``rng.choice`` would pick; ``None`` for the identity."""
+        return self._draws[_draw(self._cdf, rng)]
+
+
+def draw_weighted(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Index of the Kraus operator taken, given the weights ``||K_i psi||^2``.
+
+    Each weight is divided by their in-order total and drawn like a mixture;
+    a total that is not finite or is zero raises :class:`SimulationError`.
+    """
+    total = left_to_right_sum(weights)
+    if not math.isfinite(total):
+        raise SimulationError(f"non-finite weight among Kraus weights {weights}")
+    if total == 0.0:
+        raise SimulationError("trajectory collapsed to zero norm")
+    return _draw(_cdf([w / total for w in weights]), rng)
+
+
+def _cdf(probabilities: Sequence[float]) -> Tuple[float, ...]:
+    """``cumsum(p)`` divided by its last entry, as ``Generator.choice`` builds it."""
+    cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+def _draw(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """The index ``Generator.choice`` draws: one uniform, bisected right."""
+    return bisect_right(cdf, rng.random())
 
 
 def depolarizing(probability: float) -> KrausChannel:
@@ -67,14 +129,7 @@ def depolarizing(probability: float) -> KrausChannel:
     """
     _check_probability(probability)
     p = probability
-    ops = (
-        math.sqrt(1 - p) * _I,
-        math.sqrt(p / 3) * _X,
-        math.sqrt(p / 3) * _Y,
-        math.sqrt(p / 3) * _Z,
-    )
-    mixture = ((1 - p, p / 3, p / 3, p / 3), (_I, _X, _Y, _Z))
-    return KrausChannel("depolarizing", ops, mixture)
+    return _mixture("depolarizing", (1 - p, p / 3, p / 3, p / 3), (_I, _X, _Y, _Z))
 
 
 def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
@@ -85,25 +140,13 @@ def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
     if p_id < -1e-12:
         raise SimulationError("Pauli probabilities exceed 1")
     p_id = max(p_id, 0.0)
-    ops = (
-        math.sqrt(p_id) * _I,
-        math.sqrt(px) * _X,
-        math.sqrt(py) * _Y,
-        math.sqrt(pz) * _Z,
-    )
-    mixture = ((p_id, px, py, pz), (_I, _X, _Y, _Z))
-    return KrausChannel("pauli", ops, mixture)
+    return _mixture("pauli", (p_id, px, py, pz), (_I, _X, _Y, _Z))
 
 
 def bit_flip(probability: float) -> KrausChannel:
     """X error with probability ``p``."""
     _check_probability(probability)
-    ops = (
-        math.sqrt(1 - probability) * _I,
-        math.sqrt(probability) * _X,
-    )
-    mixture = ((1 - probability, probability), (_I, _X))
-    return KrausChannel("bit_flip", ops, mixture)
+    return _mixture("bit_flip", (1 - probability, probability), (_I, _X))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -120,6 +163,14 @@ def phase_damping(lam: float) -> KrausChannel:
     k0 = np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=complex)
     k1 = np.array([[0, 0], [0, math.sqrt(lam)]], dtype=complex)
     return KrausChannel("phase_damping", (k0, k1))
+
+
+def _mixture(
+    name: str, probabilities: Sequence[float], unitaries: Sequence[np.ndarray]
+) -> KrausChannel:
+    """The channel applying ``unitaries[i]`` with ``probabilities[i]``."""
+    ops = tuple(math.sqrt(p) * u for p, u in zip(probabilities, unitaries))
+    return KrausChannel(name, ops, (tuple(probabilities), tuple(unitaries)))
 
 
 def _check_probability(p: float) -> None:

@@ -14,22 +14,23 @@ sparsity-preserving.  Every channel supported by
 :class:`~repro.simulators.noise.NoiseModel` works here.
 
 Trajectory scheduling, seeding, and fan-out live in the shared
-:class:`~repro.simulators.backends.TrajectoryBackend` base; this class
-only supplies the sparse per-trajectory evolution.
+:class:`~repro.simulators.backends.TrajectoryBackend` base, and the Kraus
+draw in :mod:`repro.simulators.noise`.  This class supplies the sparse
+evolution: each Kraus candidate is a copied map, weighed by ``norm() ** 2``
+and renormalized by ``normalize()`` once drawn.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_category
 from repro.exceptions import SimulationError
-from repro.linalg.summation import left_to_right_sum
 from repro.simulators.backends import TrajectoryBackend
-from repro.simulators.noise import KrausChannel, NoiseModel
+from repro.simulators.noise import NoiseModel, draw_weighted
 from repro.simulators.seeding import SeedLike
 from repro.simulators.sparsestate import SparseState
 from repro import telemetry
@@ -71,27 +72,17 @@ class SparseTrajectoryBackend(TrajectoryBackend):
         initial_bits: Optional[Sequence[int]],
         rng: np.random.Generator,
     ):
-        return self._run_trajectory(flat, num_qubits, initial_bits, rng).probabilities()
-
-    def _run_trajectory(
-        self,
-        flat: QuantumCircuit,
-        n: int,
-        initial_bits: Optional[Sequence[int]],
-        rng: np.random.Generator,
-    ) -> SparseState:
         if initial_bits is not None:
             state = SparseState.from_bits(list(initial_bits))
         else:
-            state = SparseState(n)
+            state = SparseState(num_qubits)
         peak = len(state.amplitudes)
         for instr in flat:
             if not instr.is_unitary:
                 continue
             state.apply_instruction(instr)
             support = len(state.amplitudes)
-            if support > peak:
-                peak = support
+            peak = max(peak, support)
             if support > self.support_limit:
                 raise SimulationError(
                     f"sparse support exceeded {self.support_limit}; "
@@ -100,38 +91,17 @@ class SparseTrajectoryBackend(TrajectoryBackend):
             width = 1 if gate_category(instr) == "1q" else 2
             for channel in self.noise_model.channels_for(width):
                 for qubit in instr.qubits:
-                    self._sample_kraus(state, channel, qubit, rng)
+                    if channel.is_unitary_mixture:
+                        unitary = channel.draw_unitary(rng)
+                        if unitary is not None:
+                            state.apply_single_qubit_matrix(unitary, qubit)
+                        continue
+                    candidates = [state.copy() for _ in channel.operators]
+                    for candidate, op in zip(candidates, channel.operators):
+                        candidate.apply_single_qubit_matrix(op, qubit)
+                    weights = [c.norm() ** 2 for c in candidates]
+                    state = candidates[draw_weighted(weights, rng)]
+                    state.normalize()
         state.normalize()
         telemetry.observe("sparse.amplitudes", peak)
-        return state
-
-    def _sample_kraus(
-        self,
-        state: SparseState,
-        channel: KrausChannel,
-        qubit: int,
-        rng: np.random.Generator,
-    ) -> None:
-        if channel.is_unitary_mixture:
-            probabilities, unitaries = channel.unitary_mixture
-            choice = rng.choice(len(probabilities), p=probabilities)
-            unitary = unitaries[choice]
-            if not np.allclose(unitary, np.eye(2)):
-                state.apply_single_qubit_matrix(unitary, qubit)
-            return
-        candidates: List[SparseState] = []
-        weights: List[float] = []
-        for op in channel.operators:
-            candidate = state.copy()
-            candidate.apply_single_qubit_matrix(op, qubit)
-            weight = candidate.norm() ** 2
-            candidates.append(candidate)
-            weights.append(weight)
-        total = left_to_right_sum(weights)
-        if total <= 0:
-            raise SimulationError("trajectory collapsed to zero norm")
-        probabilities = [w / total for w in weights]
-        choice = rng.choice(len(candidates), p=probabilities)
-        chosen = candidates[choice]
-        chosen.normalize()
-        state.amplitudes = chosen.amplitudes
+        return state.probabilities()

@@ -99,6 +99,9 @@ class SparseState:
         if norm == 0.0:
             self.amplitudes = {}
             return
+        if not math.isfinite(norm):
+            # The cutoff comparisons would drop every amplitude and hide it.
+            raise SimulationError(f"non-finite weight in sparse state (norm {norm})")
         cutoff = tolerance * norm
         self.amplitudes = {
             k: a for k, a in self.amplitudes.items() if abs(a) > cutoff

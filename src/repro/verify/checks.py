@@ -1539,3 +1539,246 @@ def check_hea_prefix_vs_fresh(ctx: CheckContext) -> CheckOutput:
         payload_b,
         details={"layers_applied_vs_full": applied},
     )
+
+
+
+# ----------------------------------------------------------------------
+# 16. Trajectory backends vs the per-sample Kraus loop they replaced
+# ----------------------------------------------------------------------
+def _reference_dense_trajectory(backend, flat, n, initial_bits, rng):
+    """``NoisyTrajectoryBackend``'s trajectory as written before the Kraus
+    draw moved to :mod:`repro.simulators.noise`: ``_run_trajectory`` and
+    ``_sample_kraus``, literally (``rng.choice``, ``np.allclose``, ``vdot``
+    weights, division by ``sqrt``)."""
+    from repro.circuits.gates import gate_category
+    from repro.exceptions import SimulationError
+    from repro.linalg.bitvec import bits_to_int
+    from repro.linalg.summation import left_to_right_sum
+    from repro.simulators.statevector import apply_instruction, apply_single_qubit
+
+    def sample_kraus(state, channel, qubit):
+        if channel.is_unitary_mixture:
+            probabilities, unitaries = channel.unitary_mixture
+            choice = rng.choice(len(probabilities), p=probabilities)
+            unitary = unitaries[choice]
+            if np.allclose(unitary, np.eye(2)):
+                return state
+            return apply_single_qubit(state, unitary, qubit, n)
+        candidates: List[np.ndarray] = []
+        weights: List[float] = []
+        for op in channel.operators:
+            candidate = apply_single_qubit(state.copy(), op, qubit, n)
+            weight = float(np.vdot(candidate, candidate).real)
+            candidates.append(candidate)
+            weights.append(weight)
+        total = left_to_right_sum(weights)
+        if total <= 0:
+            raise SimulationError("trajectory collapsed to zero norm")
+        probabilities = [w / total for w in weights]
+        choice = rng.choice(len(candidates), p=probabilities)
+        chosen = candidates[choice]
+        norm = np.sqrt(weights[choice])
+        return chosen / norm
+
+    state = np.zeros(1 << n, dtype=np.complex128)
+    start = bits_to_int(initial_bits) if initial_bits is not None else 0
+    state[start] = 1.0
+    for instr in flat:
+        if not instr.is_unitary:
+            continue
+        state = apply_instruction(state, instr, n)
+        width = 1 if gate_category(instr) == "1q" else 2
+        for channel in backend.noise_model.channels_for(width):
+            for qubit in instr.qubits:
+                state = sample_kraus(state, channel, qubit)
+    return np.abs(state) ** 2
+
+
+def _reference_sparse_trajectory(backend, flat, n, initial_bits, rng):
+    """``SparseTrajectoryBackend``'s trajectory as written before the Kraus
+    draw moved to :mod:`repro.simulators.noise`, literally (``rng.choice``,
+    ``np.allclose``, ``norm() ** 2`` weights, ``normalize()``).  The support
+    limit and the peak telemetry, which never change a bit, are left out."""
+    from repro.circuits.gates import gate_category
+    from repro.exceptions import SimulationError
+    from repro.linalg.summation import left_to_right_sum
+    from repro.simulators.sparsestate import SparseState
+
+    def sample_kraus(state, channel, qubit):
+        if channel.is_unitary_mixture:
+            probabilities, unitaries = channel.unitary_mixture
+            choice = rng.choice(len(probabilities), p=probabilities)
+            unitary = unitaries[choice]
+            if not np.allclose(unitary, np.eye(2)):
+                state.apply_single_qubit_matrix(unitary, qubit)
+            return
+        candidates: List[SparseState] = []
+        weights: List[float] = []
+        for op in channel.operators:
+            candidate = state.copy()
+            candidate.apply_single_qubit_matrix(op, qubit)
+            weight = candidate.norm() ** 2
+            candidates.append(candidate)
+            weights.append(weight)
+        total = left_to_right_sum(weights)
+        if total <= 0:
+            raise SimulationError("trajectory collapsed to zero norm")
+        probabilities = [w / total for w in weights]
+        choice = rng.choice(len(candidates), p=probabilities)
+        chosen = candidates[choice]
+        chosen.normalize()
+        state.amplitudes = chosen.amplitudes
+
+    if initial_bits is not None:
+        state = SparseState.from_bits(list(initial_bits))
+    else:
+        state = SparseState(n)
+    for instr in flat:
+        if not instr.is_unitary:
+            continue
+        state.apply_instruction(instr)
+        width = 1 if gate_category(instr) == "1q" else 2
+        for channel in backend.noise_model.channels_for(width):
+            for qubit in instr.qubits:
+                sample_kraus(state, channel, qubit)
+    state.normalize()
+    return state.probabilities()
+
+
+def _random_1q_cx_circuit(rng: np.random.Generator, num_qubits: int, gates: int):
+    """A random circuit of CX and 1q gates both trajectory backends apply."""
+    from repro.circuits.circuit import QuantumCircuit
+
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(gates):
+        kind = str(rng.choice(["h", "x", "s", "t", "rx", "ry", "rz", "cx"]))
+        if kind == "cx":
+            control, target = rng.choice(num_qubits, size=2, replace=False)
+            circuit.cx(int(control), int(target))
+        elif kind in ("rx", "ry", "rz"):
+            angle = float(rng.uniform(-math.pi, math.pi))
+            getattr(circuit, kind)(angle, int(rng.integers(num_qubits)))
+        else:
+            getattr(circuit, kind)(int(rng.integers(num_qubits)))
+    return circuit
+
+
+def _tie_model(ctx: CheckContext, salt: str):
+    """``(seed, model)``: a two-outcome mixture whose CDF boundary is the
+    first uniform a one-trajectory run under ``seed`` draws.
+
+    Ties decide between ``bisect_right`` (``Generator.choice``'s side) and
+    ``bisect_left`` and are otherwise never drawn.  The uniform is kept at
+    or above 0.5, so ``1 - u`` is exact and ``u + (1 - u)`` is 1.
+    """
+    from repro.simulators.noise import PAULIS, KrausChannel, NoiseModel
+    from repro.simulators.seeding import SeedBank
+
+    for attempt in range(64):
+        seed = ctx.derived_seed(f"{salt}-{attempt}")
+        uniform = np.random.default_rng(SeedBank(seed).spawn(2)[0]).random()
+        if uniform >= 0.5:
+            break
+    identity, flip = PAULIS["I"], PAULIS["X"]
+    channel = KrausChannel(
+        "tie",
+        (math.sqrt(uniform) * identity, math.sqrt(1.0 - uniform) * flip),
+        ((uniform, 1.0 - uniform), (identity, flip)),
+    )
+    return seed, NoiseModel(single_qubit=[channel])
+
+
+@register_check(
+    "trajectory-vs-reference",
+    "dense and sparse trajectory backends vs a literal copy of the "
+    "per-sample Kraus loop they replaced (rng.choice, np.allclose), on "
+    "fake_kyiv, fake_brisbane and a damping model",
+    tolerance=0.0,
+)
+def check_trajectory_vs_reference(ctx: CheckContext) -> CheckOutput:
+    """Counts must match the ``rng.choice`` Kraus loop bit for bit.
+
+    Both paths are backends built alike with the same seed and run through
+    the same :meth:`TrajectoryBackend.run` (seed tree, shot split, readout);
+    path A's per-trajectory method is replaced by
+    :func:`_reference_dense_trajectory` or
+    :func:`_reference_sparse_trajectory`.  Circuits: seeded F1 transition
+    chains (decomposed by ``run``) and a random 1q/CX circuit, on
+    ``fake_kyiv``, ``fake_brisbane`` and the paper's composite model with
+    amplitude and phase damping; plus a "tie" case whose first uniform lies
+    on a CDF boundary, which only ``Generator.choice``'s side of the
+    bisection gets right.
+    """
+    import functools
+
+    from repro.circuits.circuit import QuantumCircuit
+    from repro.core.solver import RasenganSolver
+    from repro.core.transition import transition_chain_circuit
+    from repro.pipeline.cache import ArtifactCache
+    from repro.problems.registry import make_benchmark
+    from repro.simulators.backends import NoisyTrajectoryBackend
+    from repro.simulators.backends import fake_brisbane, fake_kyiv
+    from repro.simulators.noise import NoiseModel
+    from repro.simulators.sparse_noisy import SparseTrajectoryBackend
+
+    kinds = (
+        ("dense", NoisyTrajectoryBackend, _reference_dense_trajectory),
+        ("sparse", SparseTrajectoryBackend, _reference_sparse_trajectory),
+    )
+    payload_a: Dict[str, Any] = {}
+    payload_b: Dict[str, Any] = {}
+
+    def run_both(label, model, seed, circuit, bits, shots, trajectories):
+        for kind, backend_class, reference in kinds:
+            path_a = backend_class(model, seed=seed, max_trajectories=trajectories)
+            path_a._trajectory_probabilities = functools.partial(reference, path_a)
+            path_b = backend_class(model, seed=seed, max_trajectories=trajectories)
+            for payload, backend in ((payload_a, path_a), (payload_b, path_b)):
+                counts = backend.run(circuit, shots, initial_bits=bits)
+                payload[f"{kind}/{label}"] = sorted(counts.items())
+
+    rng = ctx.rng("trajectory-circuits")
+    circuits = []
+    for _ in range(3 if ctx.thorough else 1):
+        case = int(rng.integers(0, 400))
+        problem = make_benchmark("F1", case)
+        solver = RasenganSolver(problem, artifact_cache=ArtifactCache())
+        chain = solver.chain
+        times = rng.uniform(0.0, math.pi, len(chain.schedule))
+        circuit = transition_chain_circuit(
+            chain.basis, chain.schedule, times, problem.num_variables,
+            solver.initial_bits,
+        )
+        solver.engine.close()
+        circuits.append((f"F1/{case}", circuit, None))
+    for index in range(2 if ctx.thorough else 1):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=4))
+        circuits.append((f"random/{index}", _random_1q_cx_circuit(rng, 4, 40), bits))
+
+    models = {
+        "fake_kyiv": fake_kyiv().noise_model,
+        "fake_brisbane": fake_brisbane().noise_model,
+        "damping": NoiseModel.from_error_rates(
+            single_qubit_error=0.001,
+            two_qubit_error=0.01,
+            amplitude_damping_prob=0.02,
+            phase_damping_prob=0.02,
+            readout_error=0.01,
+        ),
+    }
+    for model_name, model in models.items():
+        for label, circuit, bits in circuits:
+            key = f"{model_name}/{label}"
+            seed = ctx.derived_seed(f"trajectory-{key}")
+            run_both(key, model, seed, circuit, bits, shots=64, trajectories=16)
+    seed, model = _tie_model(ctx, "trajectory-tie")
+    flip = QuantumCircuit(1)
+    flip.x(0)
+    run_both("tie", model, seed, flip, None, shots=8, trajectories=1)
+    return CheckOutput(
+        "rng.choice-loop",
+        payload_a,
+        "noise.py-draw",
+        payload_b,
+        details={"cases": len(payload_a), "circuits": [c[0] for c in circuits]},
+    )

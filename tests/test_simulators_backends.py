@@ -10,14 +10,16 @@ from repro.simulators.backends import (
     fake_brisbane,
     fake_kyiv,
 )
+from repro import telemetry
 from repro.exceptions import SimulationError
 from repro.simulators.density import DensityMatrixSimulator
-from repro.simulators.noise import NoiseModel, depolarizing
+from repro.simulators.noise import NoiseModel, amplitude_damping, depolarizing
 from repro.simulators.sampling import (
     apply_readout_error,
     counts_from_probabilities,
     probabilities_from_counts,
 )
+from repro.simulators.sparse_noisy import SparseTrajectoryBackend
 
 
 class TestSampling:
@@ -201,3 +203,77 @@ class TestFakeDevices:
     def test_names(self):
         assert fake_kyiv().name == "fake_kyiv"
         assert fake_brisbane().name == "fake_brisbane"
+
+
+def _damping_model():
+    return NoiseModel.from_error_rates(
+        single_qubit_error=0.001,
+        two_qubit_error=0.01,
+        amplitude_damping_prob=0.05,
+        phase_damping_prob=0.05,
+        readout_error=0.01,
+    )
+
+
+class TestKrausDraw:
+    """Both trajectory backends draw through ``repro.simulators.noise``."""
+
+    @staticmethod
+    def _count_choice_and_allclose(monkeypatch):
+        calls = {"choice": 0, "allclose": 0}
+
+        class CountingGenerator(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                calls["choice"] += 1
+                return super().choice(*args, **kwargs)
+
+        allclose = np.allclose
+
+        def counting_allclose(*args, **kwargs):
+            calls["allclose"] += 1
+            return allclose(*args, **kwargs)
+
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed=None: CountingGenerator(np.random.PCG64(seed)),
+        )
+        monkeypatch.setattr(np, "allclose", counting_allclose)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fake_kyiv(seed=5),
+            lambda: NoisyTrajectoryBackend(_damping_model(), seed=5),
+            lambda: SparseTrajectoryBackend(_damping_model(), seed=5),
+        ],
+        ids=["fake_kyiv", "damping", "sparse-damping"],
+    )
+    def test_seeded_run_calls_neither_choice_nor_allclose(self, monkeypatch, make):
+        qc = QuantumCircuit(3)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.rx(0.4, 2)
+        qc.ccx(0, 1, 2)
+        backend = make()  # channels validate (and call allclose) here, once
+        calls = self._count_choice_and_allclose(monkeypatch)
+        with telemetry.session() as collector:
+            counts = backend.run(qc, 300)
+        assert calls == {"choice": 0, "allclose": 0}
+        assert sum(counts.values()) == 300
+        assert collector.counter("noise.trajectories") == 64
+        assert collector.counter("gates.total") == 64 * 18
+        assert collector.counter("gates.cx") == 64 * 7
+
+    @pytest.mark.parametrize(
+        "backend_class", [NoisyTrajectoryBackend, SparseTrajectoryBackend]
+    )
+    def test_non_finite_state_refused_with_a_typed_error(self, backend_class):
+        # The dense backend used to raise NumPy's "Probabilities contain
+        # NaN", the sparse one "trajectory collapsed to zero norm".
+        model = NoiseModel(single_qubit=[amplitude_damping(0.1)])
+        qc = QuantumCircuit(1)
+        qc.rx(float("nan"), 0)
+        with pytest.raises(SimulationError, match="non-finite weight"):
+            backend_class(model, seed=1).run(qc, 10)

@@ -7,13 +7,18 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
 from repro.simulators.density import DensityMatrixSimulator
 from repro.simulators.noise import (
+    PAULIS,
+    KrausChannel,
     NoiseModel,
     amplitude_damping,
     bit_flip,
     depolarizing,
+    draw_weighted,
     pauli_channel,
     phase_damping,
 )
+
+_I, _X = PAULIS["I"], PAULIS["X"]
 
 
 class TestChannelValidity:
@@ -33,8 +38,37 @@ class TestChannelValidity:
 
     def test_pauli_channel(self):
         channel = pauli_channel(0.1, 0.05, 0.02)
-        probabilities, _ = channel.unitary_mixture
+        probabilities, unitaries = channel.unitary_mixture
         assert sum(probabilities) == pytest.approx(1.0)
+        # Each draw lands where rng.choice lands on a twin stream, and
+        # takes the one uniform it takes; the identity comes back as None.
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2000):
+            index = theirs.choice(len(probabilities), p=probabilities)
+            expected = None if index == 0 else unitaries[index]
+            assert channel.draw_unitary(ours) is expected
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize(
+        "probabilities",
+        [
+            (0.5, 0.6),
+            (-0.1, 1.1),
+            (float("nan"), 1.0),
+            (float("inf"), 0.0),
+            (1.0,),
+            (0.5, 0.25, 0.25),
+        ],
+    )
+    def test_bad_mixture_rejected_at_construction(self, probabilities):
+        # These used to be accepted and fail at the first draw with
+        # NumPy's ValueError (or draw from the wrong support).
+        with pytest.raises(SimulationError, match="mixture probabilities"):
+            KrausChannel("bad", (PAULIS["I"],), (probabilities, (_I, _X)))
+
+    def test_mixture_sum_within_sqrt_eps_accepted(self):
+        # Generator.choice accepts a sum within sqrt(eps) of 1.
+        KrausChannel("near", (PAULIS["I"],), ((0.5, 0.5 + 1e-9), (_I, _X)))
 
     def test_pauli_channel_overflow_rejected(self):
         with pytest.raises(SimulationError):
@@ -48,6 +82,31 @@ class TestChannelValidity:
     def test_unitary_mixture_flags(self):
         assert depolarizing(0.1).is_unitary_mixture
         assert not amplitude_damping(0.1).is_unitary_mixture
+        # Drawing the identity applies nothing; an error draws its Pauli.
+        rng = np.random.default_rng(0)
+        assert bit_flip(0.0).draw_unitary(rng) is None
+        np.testing.assert_array_equal(bit_flip(1.0).draw_unitary(rng), _X)
+
+
+class TestWeightedDraw:
+    def test_matches_choice_on_normalized_weights(self):
+        weights = [0.3, 0.0, 0.45, 0.25]
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(2000):
+            expected = theirs.choice(4, p=[w / sum(weights) for w in weights])
+            assert draw_weighted(weights, ours) == expected
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ([0.0, 0.0], "zero norm"),
+            ([float("nan"), 0.5], "non-finite weight"),
+            ([float("inf"), 0.5], "non-finite weight"),
+        ],
+    )
+    def test_degenerate_weights_refused(self, weights, message):
+        with pytest.raises(SimulationError, match=message):
+            draw_weighted(weights, np.random.default_rng(0))
 
 
 class TestNoiseModel:

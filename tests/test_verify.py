@@ -133,6 +133,7 @@ class TestRegistry:
             "baseline-score-vs-dict",
             "simplex-inverse-vs-inv",
             "hea-prefix-vs-fresh",
+            "trajectory-vs-reference",
         } <= names
 
     def test_unknown_name_rejected(self):
