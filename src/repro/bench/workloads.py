@@ -16,7 +16,9 @@ Three layers are covered, mirroring the execution architecture
   solves on the five benchmark families (F1/K1/J1/S1/G1) plus one
   baseline per family through the shared experiment runner.
 * ``service.*`` — an HTTP job round-trip and a dedup-coalesced burst
-  against an in-process :class:`~repro.service.workers.SolverService`.
+  against an in-process :class:`~repro.service.workers.SolverService`,
+  and one job's runner under an enabled collector (the only timed
+  sample that pays for tracing).
 
 Determinism contract: the workload list for a suite, every workload's
 seed, and every recorded counter value are pure functions of the tree —
@@ -593,3 +595,36 @@ def _service_burst_run(ctx, iteration: int):
         if not job.wait(timeout=60.0):
             raise RuntimeError(f"burst job {job.id} did not settle")
     return jobs
+
+
+def _service_traced_setup(seed: int):
+    from repro.problems.io import problem_to_dict
+    from repro.problems.registry import make_benchmark
+    from repro.service.jobs import JobSpec
+
+    return JobSpec(
+        problem=problem_to_dict(make_benchmark("F1", case=0)),
+        config={"seed": seed, "shots": None, "max_iterations": 40},
+    )
+
+
+@register_workload(
+    "service.job.traced",
+    description="one exact F1 job through the service runner under an "
+    "enabled collector, its service.job tree detached into a record",
+    suites=("service", "quick"),
+    seed=303,
+    # No counters: the run opens its own session, which would shadow the
+    # counter pass's collector.
+    setup=_service_traced_setup,
+)
+def _service_traced_run(spec, iteration: int):
+    from repro import telemetry
+    from repro.service.workers import default_runner
+
+    # The other timed rounds run with telemetry off; this one times what
+    # a traced service job costs, span bookkeeping and detach included.
+    with telemetry.session() as collector:
+        with telemetry.span("service.job", problem="F1") as job_span:
+            result = default_runner(spec)
+        return {"result": result, "trace": collector.detach(job_span)}

@@ -47,7 +47,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults, telemetry
 
@@ -480,82 +480,95 @@ class SolverService:
         self._journal("running", job)
         spec = job.spec
         problem_name = spec.problem.get("name", spec.problem.get("type"))
-        with telemetry.span(
-            "service.job",
-            job=job.id,
-            problem=problem_name,
-            priority=spec.priority,
-        ) as job_span:
-            failure: Optional[str] = None
-            timed_out = False
-            record: Optional[Dict[str, Any]] = None
-            for attempt in range(spec.max_retries + 1):
-                job.attempts += 1
-                try:
-                    faults.point("worker.run")
-                    record = run_with_deadline(
-                        lambda: self._run_captured(job, spec),
-                        job.remaining(),
-                        label=job.id,
-                    )
-                    failure = None
-                    break
-                except JobTimeoutError as exc:
-                    telemetry.add("service.jobs.timeouts")
-                    failure = str(exc)
-                    timed_out = True
-                    break  # the deadline is gone; retrying cannot help
-                except Exception as exc:  # noqa: BLE001 — jobs isolate failures
-                    failure = f"{type(exc).__name__}: {exc}"
-                    if attempt >= spec.max_retries or job.cancel_requested:
-                        break
-                    telemetry.add("service.jobs.retries")
-                    job.record_event(
-                        "retry", attempt=attempt + 1, error=failure
-                    )
-                    if self._backoff(job, attempt):
-                        break  # cancellation interrupted the backoff
-            if failure is None and record is not None:
-                state = "done"
-            elif job.cancel_requested and not timed_out:
-                state = "cancelled"
-            else:
-                state = "failed"
-            job_span.set(attempts=job.attempts, state=state)
-            if state == "done":
-                telemetry.add("service.jobs.executed")
-                self.store.put(job.fingerprint, record)
-                job.mark_done(record)
-                self._journal("done", job)
-            elif state == "cancelled":
-                job.mark_cancelled()
-                telemetry.add("service.jobs.cancelled")
-                self._journal("cancelled", job, detail=failure)
-            else:
-                telemetry.add("service.jobs.failed")
-                job.mark_failed(failure or "runner returned no record")
-                self._journal("failed", job, detail=failure)
-            if job.started_at is not None and job.finished_at is not None:
-                elapsed = job.finished_at - job.started_at
-                telemetry.observe("service.jobs.run_seconds", elapsed)
-                if (
-                    self.slow_job_seconds is not None
-                    and elapsed >= self.slow_job_seconds
-                ):
-                    telemetry.add("service.jobs.slow")
-                    _LOG.warning(
-                        "slow job %s (%s): %.3fs >= %.3fs threshold, state=%s",
-                        job.id,
-                        problem_name,
-                        elapsed,
-                        self.slow_job_seconds,
-                        state,
-                    )
-        # Flight recorder: attach this execution's span tree to the job
-        # record (the span has ended by here, so its duration is final).
-        if isinstance(job_span, telemetry.Span):
-            job.trace = job_span.to_dict()
+        collector = telemetry.active()
+        try:
+            with telemetry.span(
+                "service.job",
+                job=job.id,
+                problem=problem_name,
+                priority=spec.priority,
+            ) as job_span:
+                state, record, failure = self._attempt(job, spec)
+                job_span.set(attempts=job.attempts, state=state)
+        finally:
+            # Flight recorder: the span has ended, so its duration is
+            # final.  Detaching hands the tree to the job record before the
+            # job turns terminal (a waiter never reads a trace-less record)
+            # and leaves the process collector holding no job trees, also
+            # when a worker crash unwinds through here.
+            if isinstance(job_span, telemetry.Span):
+                job.trace = collector.detach(job_span)
+        if state == "done":
+            telemetry.add("service.jobs.executed")
+            self.store.put(job.fingerprint, record)
+            job.mark_done(record)
+            self._journal("done", job)
+        elif state == "cancelled":
+            job.mark_cancelled()
+            telemetry.add("service.jobs.cancelled")
+            self._journal("cancelled", job, detail=failure)
+        else:
+            telemetry.add("service.jobs.failed")
+            job.mark_failed(failure or "runner returned no record")
+            self._journal("failed", job, detail=failure)
+        if job.started_at is not None and job.finished_at is not None:
+            elapsed = job.finished_at - job.started_at
+            telemetry.observe("service.jobs.run_seconds", elapsed)
+            if (
+                self.slow_job_seconds is not None
+                and elapsed >= self.slow_job_seconds
+            ):
+                telemetry.add("service.jobs.slow")
+                _LOG.warning(
+                    "slow job %s (%s): %.3fs >= %.3fs threshold, state=%s",
+                    job.id,
+                    problem_name,
+                    elapsed,
+                    self.slow_job_seconds,
+                    state,
+                )
         self._settle_followers(job)
+
+    def _attempt(
+        self, job: Job, spec: JobSpec
+    ) -> Tuple[str, Optional[Dict[str, Any]], Optional[str]]:
+        """Run the job's attempts; returns ``(state, record, failure)``.
+
+        ``state`` is the terminal state the job should take (``done``,
+        ``cancelled`` or ``failed``); the job itself is not settled here.
+        """
+        failure: Optional[str] = None
+        timed_out = False
+        record: Optional[Dict[str, Any]] = None
+        for attempt in range(spec.max_retries + 1):
+            job.attempts += 1
+            try:
+                faults.point("worker.run")
+                record = run_with_deadline(
+                    lambda: self._run_captured(job, spec),
+                    job.remaining(),
+                    label=job.id,
+                )
+                failure = None
+                break
+            except JobTimeoutError as exc:
+                telemetry.add("service.jobs.timeouts")
+                failure = str(exc)
+                timed_out = True
+                break  # the deadline is gone; retrying cannot help
+            except Exception as exc:  # noqa: BLE001 — jobs isolate failures
+                failure = f"{type(exc).__name__}: {exc}"
+                if attempt >= spec.max_retries or job.cancel_requested:
+                    break
+                telemetry.add("service.jobs.retries")
+                job.record_event("retry", attempt=attempt + 1, error=failure)
+                if self._backoff(job, attempt):
+                    break  # cancellation interrupted the backoff
+        if failure is None and record is not None:
+            return "done", record, None
+        if job.cancel_requested and not timed_out:
+            return "cancelled", None, failure
+        return "failed", None, failure
 
     def _run_captured(self, job: Job, spec: JobSpec) -> Dict[str, Any]:
         """Run the job's runner, recording its pipeline stage resolutions.

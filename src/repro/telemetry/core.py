@@ -265,11 +265,12 @@ class TelemetryCollector:
     """In-memory sink: span forest + counter/histogram tables.
 
     Args:
-        max_spans: hard cap on recorded spans.  Deeply iterated solver
-            loops can open thousands of segment spans; beyond the cap new
-            spans are dropped (counted in :attr:`dropped_spans`) while
-            counters/histograms keep aggregating, so long runs degrade to
-            metrics-only instead of exhausting memory.
+        max_spans: hard cap on held spans.  A long session (many solves
+            under one ``--trace``) can open thousands of spans; beyond the
+            cap new spans are dropped (counted in :attr:`dropped_spans`)
+            while counters/histograms keep aggregating, so long runs
+            degrade to metrics-only instead of exhausting memory.
+            :meth:`detach` gives a removed tree's spans back.
         clock: timestamp source (seconds); injectable for tests.
 
     Span stacks are per-thread: a span opened on a worker thread nests
@@ -329,6 +330,31 @@ class TelemetryCollector:
             top = stack.pop()
             if top is node:
                 break
+
+    def detach(self, root: Span) -> Dict[str, Any]:
+        """Remove the finished root span ``root`` and return its dict.
+
+        The span budget its tree used is given back, so a long-lived
+        collector that hands each unit of work its own trace (the
+        service's per-job flight recorder) never fills up.
+
+        Raises:
+            ValueError: ``root`` is not one of this collector's roots,
+                or it is still open.
+        """
+        if root.end is None:
+            raise ValueError(f"span {root.name!r} is still open")
+        with self._lock:
+            for index, candidate in enumerate(self.roots):
+                if candidate is root:
+                    del self.roots[index]
+                    break
+            else:
+                raise ValueError(
+                    f"span {root.name!r} is not a root of this collector"
+                )
+            self._span_count -= sum(1 for _ in root.walk())
+        return root.to_dict()
 
     def current_span(self) -> Optional[Span]:
         """Innermost open span on the calling thread, if any."""

@@ -145,9 +145,10 @@ def render_tree(
 ) -> str:
     """ASCII tree of the span forest with durations and attributes.
 
-    Repetitive fan-out (hundreds of ``segment`` spans inside a training
-    loop) is elided after ``max_children`` per node with a ``(+N more)``
-    marker so the tree stays readable.
+    Repetitive fan-out (hundreds of ``solve`` spans under one experiment,
+    or backend ``segment`` spans inside a training loop) is elided after
+    ``max_children`` per node with a ``(+N more)`` marker so the tree
+    stays readable.
     """
     lines: List[str] = []
 

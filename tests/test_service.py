@@ -464,6 +464,76 @@ def solver_config_overrides():
     return dict(QUICK)
 
 
+# ----------------------------------------------------------------------
+# Flight recorder (per-job traces)
+# ----------------------------------------------------------------------
+def _span_names(trace):
+    names = [trace["name"]]
+    for child in trace["children"]:
+        names.extend(_span_names(child))
+    return names
+
+
+class TestFlightRecorder:
+    def test_job_turns_terminal_only_with_its_trace(self, monkeypatch):
+        # A waiter wakes on mark_done, so the trace must already be there.
+        attached = []
+        mark_done = Job.mark_done
+
+        def spy(job, result, **kwargs):
+            attached.append(job.trace is not None)
+            return mark_done(job, result, **kwargs)
+
+        monkeypatch.setattr(Job, "mark_done", spy)
+        with telemetry.session():
+            service = SolverService(workers=1).start()
+            job = service.submit(benchmark="F1", config=QUICK)
+            assert job.wait(60.0)
+            service.close()
+        assert job.state is JobState.DONE
+        assert attached == [True]
+
+    def test_jobs_leave_no_trees_and_never_exhaust_the_budget(self):
+        # The budget is below what one job's tree held when every segment
+        # of every evaluation opened spans; detaching each tree keeps the
+        # process collector empty however many jobs run.
+        collector = telemetry.TelemetryCollector(max_spans=20)
+        with telemetry.session(collector):
+            service = SolverService(workers=2).start()
+            jobs = [
+                service.submit(benchmark="F1", config=dict(QUICK, seed=seed))
+                for seed in range(6)
+            ]
+            for job in jobs:
+                assert job.wait(60.0)
+            service.close()
+        for job in jobs:
+            assert job.state is JobState.DONE
+            assert job.trace is not None
+            assert job.trace["name"] == "service.job"
+            assert "solve" in _span_names(job.trace)
+        assert collector.roots == []
+        assert collector.dropped_spans == 0
+        assert collector.summary()["spans"] == 0
+
+    def test_trace_size_does_not_grow_with_iterations(self):
+        traces = {}
+        with telemetry.session():
+            service = SolverService(workers=1).start()
+            for iterations in (10, 40):
+                job = service.submit(
+                    benchmark="F1",
+                    config=dict(QUICK, max_iterations=iterations),
+                )
+                assert job.wait(60.0)
+                traces[iterations] = _span_names(job.trace)
+            service.close()
+        assert len(traces[10]) == len(traces[40])
+        for names in traces.values():
+            assert "segment" not in names
+            assert "sparse.evolve" not in names
+
+
 class TestGateLevelJobRecord:
     def test_traced_ideal_backend_record_is_json_serialisable(self):
         # Gate-level segments allocate shots per input state; the counts

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -60,6 +62,73 @@ class TestSpans:
         assert len(collector.roots) == 2
         assert collector.dropped_spans == 3
         assert collector.counter("events") == 5
+
+    def test_detach_returns_tree_and_gives_back_budget(self):
+        collector = TelemetryCollector(max_spans=2)
+        with telemetry.session(collector):
+            with telemetry.span("job", id=1) as job:
+                with telemetry.span("solve"):
+                    pass
+            with telemetry.span("dropped"):
+                pass
+            assert collector.dropped_spans == 1
+            trace = collector.detach(job)
+            with telemetry.span("next"):
+                with telemetry.span("child"):
+                    pass
+        assert trace["name"] == "job"
+        assert trace["attributes"] == {"id": 1}
+        assert [child["name"] for child in trace["children"]] == ["solve"]
+        assert [root.name for root in collector.roots] == ["next"]
+        assert collector.dropped_spans == 1
+        assert collector.summary()["spans"] == 2
+
+    def test_detach_refuses_unknown_and_open_spans(self):
+        collector = TelemetryCollector()
+        with telemetry.session(collector):
+            with telemetry.span("outer") as outer:
+                with telemetry.span("inner") as inner:
+                    pass
+                with pytest.raises(ValueError, match="still open"):
+                    collector.detach(outer)
+            with pytest.raises(ValueError, match="not a root"):
+                collector.detach(inner)
+            with pytest.raises(ValueError, match="not a root"):
+                collector.detach(Span(name="stranger", start=0.0, end=1.0))
+            collector.detach(outer)
+            with pytest.raises(ValueError, match="not a root"):
+                collector.detach(outer)
+        assert collector.roots == []
+
+    def test_concurrent_detach_loses_no_budget(self):
+        # Worker threads open, finish and detach their own trees at once;
+        # a lost update to the span count would strand budget or drop spans.
+        collector = TelemetryCollector(max_spans=16)
+        traces = []
+
+        def work():
+            for _ in range(300):
+                with telemetry.span("job") as job:
+                    with telemetry.span("solve"):
+                        pass
+                traces.append(collector.detach(job))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.session(collector):
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(traces) == 8 * 300
+        assert collector.roots == []
+        assert collector.dropped_spans == 0
+        assert collector.summary()["spans"] == 0
 
     def test_walk_and_span_names(self):
         with telemetry.session() as collector:
@@ -246,9 +315,9 @@ class TestSolverIntegration:
         } <= names
         # Depth accounting is compiled on demand, never by a solve.
         assert "pipeline.circuit" not in names
-        # ...per-segment execution and a simulator-level span.
-        assert "segment" in names
-        assert "sparse.evolve" in names
+        # The per-evaluation segment loop opens no span; counters cover it.
+        assert "segment" not in names
+        assert "sparse.evolve" not in names
         # Execution accounting.
         assert collector.counter("circuits.executed") > 0
         assert collector.counter("shots.total") > 0
@@ -257,7 +326,8 @@ class TestSolverIntegration:
 
     def test_sparse_segment_counters_pinned(self):
         # Values of the per-segment loop before mask caching; the lean
-        # segment step must keep every span and counter it emitted.
+        # segment step must keep every counter it emitted, and opens no
+        # span (it runs once per segment per COBYLA evaluation).
         from repro.core.solver import RasenganConfig, RasenganSolver
         from repro.pipeline.cache import ArtifactCache
         from repro.problems import make_benchmark
@@ -289,7 +359,7 @@ class TestSolverIntegration:
         amplitudes = collector.histograms["sparse.amplitudes"]
         assert (amplitudes.count, amplitudes.total) == (88, 278.0)
         spans = collector.span_names()
-        assert spans.count("segment") == spans.count("sparse.evolve") == 44
+        assert "segment" not in spans and "sparse.evolve" not in spans
 
     def test_backend_engine_counts_backend_executions(self, small_flp):
         from repro.core.solver import RasenganConfig, RasenganSolver
