@@ -17,13 +17,7 @@ from repro.baselines.encoding import PenaltyEncoding, qubo_coefficients
 from repro.baselines.hea import HardwareEfficientAnsatz
 from repro.baselines.qaoa_penalty import PenaltyQAOA
 from repro.baselines.choco_q import ChocoQ
-from repro.baselines.grover import GroverAdaptiveSearch, GroverResult
-from repro.baselines.annealing import (
-    AnnealResult,
-    QuantumAnnealer,
-    SimulatedAnnealing,
-)
-from repro.baselines.optimizer import minimize_cobyla, minimize_spsa
+from repro.baselines.optimizer import minimize_cobyla
 
 __all__ = [
     "BaselineResult",
@@ -33,11 +27,5 @@ __all__ = [
     "HardwareEfficientAnsatz",
     "PenaltyQAOA",
     "ChocoQ",
-    "GroverAdaptiveSearch",
-    "GroverResult",
-    "SimulatedAnnealing",
-    "QuantumAnnealer",
-    "AnnealResult",
     "minimize_cobyla",
-    "minimize_spsa",
 ]

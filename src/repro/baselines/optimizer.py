@@ -2,9 +2,7 @@
 
 All algorithms in the paper (Rasengan and baselines) use constrained
 optimization by linear approximation — COBYLA [33] — for parameter
-updating.  A small SPSA implementation is provided as well because it is
-the customary alternative for shot-noise-dominated landscapes; tests use
-it to cross-check optimizer-agnostic behaviour.
+updating.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from repro.exceptions import SolverError
-from repro.simulators.seeding import SeedLike, make_rng
 from repro import telemetry
 
 
@@ -176,43 +173,3 @@ def _fallback_stop(outcome: sciopt.OptimizeResult, budget: int) -> str:
         return "small_radius"
     return f"status_{int(outcome.status)}"
 
-
-def minimize_spsa(
-    loss: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    max_iterations: int = 300,
-    a: float = 0.2,
-    c: float = 0.15,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Simultaneous-perturbation stochastic approximation.
-
-    Two loss evaluations per iteration regardless of dimension; standard
-    gain schedules ``a_k = a / (k+1)^0.602`` and ``c_k = c / (k+1)^0.101``.
-    """
-    rng = make_rng(seed)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.size == 0:
-        return x
-    with telemetry.span(
-        "optimizer.spsa", dimensions=int(x.size), budget=max_iterations
-    ):
-        best_x = x.copy()
-        best_value = loss(x)
-        for k in range(max_iterations):
-            telemetry.add("optimizer.iterations")
-            ak = a / (k + 1) ** 0.602
-            ck = c / (k + 1) ** 0.101
-            delta = rng.choice((-1.0, 1.0), size=x.shape)
-            plus = loss(x + ck * delta)
-            minus = loss(x - ck * delta)
-            gradient = (plus - minus) / (2.0 * ck) * delta
-            x = x - ak * gradient
-            value = min(plus, minus)
-            if value < best_value:
-                best_value = value
-                best_x = x.copy()
-        final = loss(x)
-        if final < best_value:
-            best_x = x
-    return best_x

@@ -22,15 +22,6 @@ from repro.circuits.depth import (
 )
 from repro.circuits.decompose import decompose_circuit
 from repro.circuits.latency import DeviceTimings, LatencyModel
-from repro.circuits.transpile import (
-    CouplingMap,
-    grid_coupling,
-    linear_coupling,
-    route_circuit,
-    to_native_basis,
-    transpile,
-)
-from repro.circuits.optimize import optimize_circuit
 from repro.circuits.unitary import circuit_unitary, unitaries_equal
 from repro.circuits.visualize import draw
 
@@ -47,14 +38,7 @@ __all__ = [
     "decompose_circuit",
     "DeviceTimings",
     "LatencyModel",
-    "CouplingMap",
-    "linear_coupling",
-    "grid_coupling",
-    "route_circuit",
-    "to_native_basis",
-    "transpile",
     "circuit_unitary",
     "unitaries_equal",
-    "optimize_circuit",
     "draw",
 ]

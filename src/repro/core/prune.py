@@ -126,41 +126,6 @@ def prune_schedule(
     )
 
 
-def search_schedule_order(
-    basis: np.ndarray,
-    initial_bits: Sequence[int],
-    *,
-    attempts: int = 8,
-    seed: int | None = None,
-) -> PruneResult:
-    """Search over chain orderings for a shorter pruned schedule.
-
-    The canonical chain visits the basis vectors in index order, but
-    pruning outcomes depend on ordering: a transition that is redundant
-    early may be productive later and vice versa.  This helper prunes the
-    canonical order plus ``attempts`` random round-orderings and returns
-    the result with the fewest retained transitions (ties broken toward
-    the canonical order).  All candidates cover the same reachable set,
-    so quality guarantees are unchanged — only circuit length improves.
-    """
-    rows = np.atleast_2d(np.asarray(basis, dtype=np.int64))
-    m = rows.shape[0]
-    best = prune_schedule(rows, initial_bits)
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        order = rng.permutation(m)
-        shuffled: List[int] = []
-        for _round in range(m):
-            shuffled.extend(int(v) for v in order)
-        candidate = prune_schedule(rows, initial_bits, shuffled)
-        if (
-            candidate.total_reachable >= best.total_reachable
-            and len(candidate.schedule) < len(best.schedule)
-        ):
-            best = candidate
-    return best
-
-
 def reachable_states(
     basis: np.ndarray, initial_bits: Sequence[int], schedule: Sequence[int]
 ) -> Tuple[int, ...]:

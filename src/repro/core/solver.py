@@ -87,7 +87,7 @@ class RasenganConfig:
         enable_prune: prune unproductive transitions / early stop.
         enable_augment: add signed-unit basis combinations when single
             transitions cannot connect the feasible space (see
-            :mod:`repro.core.augment`).
+            :mod:`repro.linalg.moves`).
         enable_purify: constraint-based purification between segments.
         initial_time: starting evolution time for every transition.
         shots_growth: geometric growth factor of per-segment shots; later

@@ -402,18 +402,6 @@ class ExecutionEngine:
         circuit = self.ansatz_circuit(spec, parameters)
         return StatevectorSimulator().probabilities(circuit)
 
-    def sample_distribution(
-        self, probabilities: np.ndarray, shots: int
-    ) -> Dict[int, int]:
-        """Measure ``shots`` outcomes from an explicit distribution.
-
-        The measurement path for algorithms that evolve state themselves
-        (Grover adaptive search, the quantum annealer).
-        """
-        self._count_execution()
-        telemetry.add("shots.total", shots)
-        return counts_from_probabilities(probabilities, shots, self._rng)
-
     # ------------------------------------------------------------------
     # Batching and fan-out
     # ------------------------------------------------------------------

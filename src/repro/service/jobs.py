@@ -28,11 +28,13 @@ import itertools
 import threading
 import time
 import uuid
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.solver import RasenganConfig
 from repro.exceptions import ReproError
+from repro import telemetry
 
 
 class ServiceError(ReproError):
@@ -434,17 +436,21 @@ def run_with_deadline(
     preemption points, so an expired computation is *abandoned* (the
     daemon thread finishes in the background and its result is dropped) —
     the caller gets a prompt, honest timeout instead of an unbounded
-    wait.  Exceptions raised by ``fn`` propagate unchanged.
+    wait.  Exceptions raised by ``fn`` propagate unchanged.  Spans ``fn``
+    opens nest under the caller's open span, as if it ran inline.
     """
     if timeout is None:
         return fn()
     if timeout <= 0:
         raise JobTimeoutError(f"{label}: deadline expired before execution")
     outcome: Dict[str, Any] = {}
+    collector = telemetry.active()
+    parent = collector.current_span() if collector is not None else None
 
     def _target() -> None:
         try:
-            outcome["value"] = fn()
+            with collector.adopt(parent) if parent is not None else nullcontext():
+                outcome["value"] = fn()
         except BaseException as exc:  # noqa: BLE001 — re-raised below
             outcome["error"] = exc
 

@@ -38,7 +38,6 @@ from repro.simulators.backends import (
     fake_kyiv,
 )
 from repro.simulators.sparse_noisy import SparseTrajectoryBackend
-from repro.simulators.observables import PauliString, PauliSum, ising_from_qubo
 
 __all__ = [
     "StatevectorSimulator",
@@ -62,9 +61,6 @@ __all__ = [
     "NoisyTrajectoryBackend",
     "TrajectoryBackend",
     "SparseTrajectoryBackend",
-    "PauliString",
-    "PauliSum",
-    "ising_from_qubo",
     "fake_kyiv",
     "fake_brisbane",
 ]

@@ -7,7 +7,7 @@ this simulator enforces a small qubit limit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -16,7 +16,11 @@ from repro.circuits.gates import Instruction, gate_category, single_qubit_matrix
 from repro.exceptions import SimulationError
 from repro.linalg.bitvec import bits_to_int
 from repro.simulators.noise import KrausChannel, NoiseModel
-from repro.simulators.statevector import apply_controlled, apply_single_qubit
+from repro.simulators.statevector import (
+    apply_controlled,
+    apply_instruction,
+    apply_single_qubit,
+)
 
 #: Hard qubit limit; 4**10 complex entries is ~16 MiB.
 MAX_QUBITS = 10
@@ -76,59 +80,57 @@ class DensityMatrixSimulator:
         return rho
 
 
-def _unitary_on_rho(rho: np.ndarray, instr: Instruction, n: int) -> np.ndarray:
-    """``rho -> U rho U^dag`` using the statevector kernels column-wise."""
+def _sandwich(
+    rho: np.ndarray,
+    apply: Callable[[np.ndarray], np.ndarray],
+    apply_conj: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``rho -> A rho A^dag`` from two in-place vector kernels.
+
+    ``apply`` acts with ``A`` on every column (``A rho``); ``apply_conj``
+    then acts with ``A*`` on every row, since row ``r`` of
+    ``(A rho) A^dag`` is ``A*`` applied to row ``r`` of ``A rho``.
+    """
     dim = rho.shape[0]
-    # U rho: apply U to each column.
     out = np.empty_like(rho)
     for col in range(dim):
-        vec = rho[:, col].copy()
-        _apply_vec(vec, instr, n, conjugate=False)
-        out[:, col] = vec
-    # (U rho) U^dag: apply U* to each row, i.e. to columns of the transpose.
+        out[:, col] = apply(rho[:, col].copy())
     result = np.empty_like(out)
     for row in range(dim):
-        vec = out[row, :].copy()
-        _apply_vec(vec, instr, n, conjugate=True)
-        result[row, :] = vec
+        result[row, :] = apply_conj(out[row, :].copy())
     return result
 
 
-def _apply_vec(vec: np.ndarray, instr: Instruction, n: int, conjugate: bool) -> None:
-    if instr.name == "swap":
-        a, b = instr.qubits
-        indices = np.arange(vec.shape[0])
-        swapped = indices ^ (((indices >> a) & 1) != ((indices >> b) & 1)) * (
-            (1 << a) | (1 << b)
+def _unitary_on_rho(rho: np.ndarray, instr: Instruction, n: int) -> np.ndarray:
+    """``rho -> U rho U^dag`` with the statevector kernels."""
+
+    def apply(vec):
+        return apply_instruction(vec, instr, n)
+
+    if instr.name == "swap":  # a permutation matrix is real: U* = U
+        return _sandwich(rho, apply, apply)
+    conj = single_qubit_matrix(instr.base_name, instr.params).conj()
+
+    def apply_conj(vec):
+        if instr.num_controls == 0:
+            return apply_single_qubit(vec, conj, instr.qubits[0], n)
+        return apply_controlled(
+            vec, conj, instr.controls, instr.control_pattern, instr.target, n
         )
-        vec[:] = vec[swapped]
-        return
-    base = single_qubit_matrix(instr.base_name, instr.params)
-    if conjugate:
-        base = base.conj()
-    if instr.num_controls == 0:
-        apply_single_qubit(vec, base, instr.qubits[0], n)
-    else:
-        apply_controlled(
-            vec, base, instr.controls, instr.control_pattern, instr.target, n
-        )
+
+    return _sandwich(rho, apply, apply_conj)
 
 
 def apply_channel(
     rho: np.ndarray, channel: KrausChannel, qubit: int, n: int
 ) -> np.ndarray:
     """``rho -> sum_i K_i rho K_i^dag`` on one qubit."""
-    dim = rho.shape[0]
     result = np.zeros_like(rho)
     for op in channel.operators:
-        term = np.empty_like(rho)
-        for col in range(dim):
-            vec = rho[:, col].copy()
-            apply_single_qubit(vec, op, qubit, n)
-            term[:, col] = vec
-        for row in range(dim):
-            vec = term[row, :].copy()
-            apply_single_qubit(vec, op.conj(), qubit, n)
-            term[row, :] = vec
-        result += term
+        conj = op.conj()
+        result += _sandwich(
+            rho,
+            lambda vec: apply_single_qubit(vec, op, qubit, n),
+            lambda vec: apply_single_qubit(vec, conj, qubit, n),
+        )
     return result

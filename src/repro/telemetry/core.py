@@ -306,19 +306,21 @@ class TelemetryCollector:
     # Spans
     # ------------------------------------------------------------------
     def start_span(self, name: str, attributes: Dict[str, Any]) -> Optional[Span]:
-        """Open a child of the current span (or a new root); may drop."""
+        """Open a child of the current span (or a new root); may drop.
+
+        Under an :meth:`adopt`-ed span that its own thread has since
+        ended, nothing is recorded or counted: that trace is closed.
+        """
+        stack = self._stack
         with self._lock:
+            if stack and stack[0].end is not None:
+                return None
             if self._span_count >= self.max_spans:
                 self.dropped_spans += 1
                 return None
             self._span_count += 1
-        node = Span(name=name, attributes=attributes, start=self._clock())
-        stack = self._stack
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            with self._lock:
-                self.roots.append(node)
+            node = Span(name=name, attributes=attributes, start=self._clock())
+            (stack[-1].children if stack else self.roots).append(node)
         stack.append(node)
         return node
 
@@ -330,6 +332,25 @@ class TelemetryCollector:
             top = stack.pop()
             if top is node:
                 break
+
+    @contextmanager
+    def adopt(self, parent: Span):
+        """Open the calling thread's spans under ``parent``, a span open
+        on another thread, for the duration of a ``with`` block.
+
+        The thread must have no open span of its own.  Once ``parent``
+        ends (say a deadline abandoned this thread), later spans here are
+        neither recorded nor counted, so a detached tree takes its whole
+        span budget with it.
+        """
+        stack = self._stack
+        if stack:
+            raise ValueError("adopt needs a thread with no open span")
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            stack.clear()
 
     def detach(self, root: Span) -> Dict[str, Any]:
         """Remove the finished root span ``root`` and return its dict.

@@ -89,30 +89,3 @@ class TestOnBenchmarks:
         )
         assert len(result.schedule) < result.original_length / 2
 
-
-class TestScheduleOrderSearch:
-    def test_never_worse_than_canonical(self):
-        from repro.core.prune import search_schedule_order
-
-        for benchmark_id in ("F2", "S1", "K3"):
-            problem = make_benchmark(benchmark_id, 0)
-            basis = problem.homogeneous_basis
-            initial = problem.initial_feasible_solution()
-            canonical = prune_schedule(basis, initial)
-            searched = search_schedule_order(basis, initial, attempts=6, seed=0)
-            assert len(searched.schedule) <= len(canonical.schedule)
-            assert searched.total_reachable >= canonical.total_reachable
-
-    def test_deterministic_given_seed(self):
-        from repro.core.prune import search_schedule_order
-
-        problem = make_benchmark("S1", 0)
-        a = search_schedule_order(
-            problem.homogeneous_basis, problem.initial_feasible_solution(),
-            attempts=4, seed=3,
-        )
-        b = search_schedule_order(
-            problem.homogeneous_basis, problem.initial_feasible_solution(),
-            attempts=4, seed=3,
-        )
-        assert a.schedule == b.schedule

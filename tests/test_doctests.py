@@ -1,5 +1,6 @@
 """Docstring examples must stay executable; the API reference built from
-the docstrings must render the same text on every run."""
+the docstrings must render the same text on every run, and that text
+must be the committed ``docs/API.md``."""
 
 import doctest
 import importlib.util
@@ -34,3 +35,6 @@ def test_api_reference_renders_deterministically():
     first = module.render()
     assert first == module.render()
     assert "at 0x" not in first
+    assert first == module.OUTPUT.read_text(), (
+        "docs/API.md is stale: run `python tools/gen_api_docs.py`"
+    )

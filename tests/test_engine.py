@@ -201,20 +201,15 @@ class TestEngineBasics:
         assert collector.counter("engine.batch.items") == 4
         assert "engine.batch" in set(collector.span_names())
 
-    def test_sample_distribution_counts_shots(self):
-        engine = ExecutionEngine(seed=0)
-        with telemetry.session() as collector:
-            counts = engine.sample_distribution(np.array([0.5, 0.5]), 100)
-        assert sum(counts.values()) == 100
-        assert collector.counter("shots.total") == 100
-        assert collector.counter("engine.executions") == 1
-
     def test_reseed_reproduces_samples(self):
+        state = np.sqrt(np.array([0.3, 0.7]))
+        spec = AnsatzSpec(0, build=None, statevector=lambda _: state)
         engine = ExecutionEngine(seed=9)
-        first = engine.sample_distribution(np.array([0.3, 0.7]), 64)
+        first = engine.sample_ansatz(spec, [], 64)
         engine.reseed(9)
-        second = engine.sample_distribution(np.array([0.3, 0.7]), 64)
+        second = engine.sample_ansatz(spec, [], 64)
         assert first == second
+        assert sum(first.values()) == pytest.approx(1.0)
 
     def test_configure_defaults_roundtrip(self):
         previous = configure_defaults(workers=3, backend="ideal")

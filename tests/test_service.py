@@ -516,6 +516,59 @@ class TestFlightRecorder:
         assert collector.dropped_spans == 0
         assert collector.summary()["spans"] == 0
 
+    def test_jobs_with_a_timeout_keep_their_trace(self):
+        # The runner runs on a deadline thread; its spans still nest
+        # under the job's span instead of rooting on that thread.
+        collector = telemetry.TelemetryCollector()
+        with telemetry.session(collector):
+            service = SolverService(workers=1).start()
+            jobs = [
+                service.submit(
+                    benchmark="F1", config=dict(QUICK, seed=seed), timeout=30
+                )
+                for seed in range(3)
+            ]
+            for job in jobs:
+                assert job.wait(60.0)
+            service.close()
+        for job in jobs:
+            assert job.state is JobState.DONE
+            assert job.trace["name"] == "service.job"
+            assert "solve" in [child["name"] for child in job.trace["children"]]
+        assert collector.roots == []
+        assert collector.summary()["spans"] == 0
+
+    def test_expired_job_leaves_no_spans_once_its_thread_finishes(self):
+        release = threading.Event()
+
+        def slow(spec):
+            with telemetry.span("slow.before"):
+                release.wait(10.0)
+            with telemetry.span("slow.after"):  # opens past the deadline
+                pass
+            return {}
+
+        collector = telemetry.TelemetryCollector()
+        with telemetry.session(collector):
+            service = SolverService(workers=1, runner=slow).start()
+            job = service.submit(F1, config=QUICK, timeout=0.1)
+            assert job.wait(10.0)
+            (abandoned,) = [
+                thread
+                for thread in threading.enumerate()
+                if thread.name == f"repro-deadline-{job.id}"
+            ]
+            release.set()
+            abandoned.join(10.0)
+            assert not abandoned.is_alive()
+            service.close()
+        assert job.state is JobState.FAILED
+        assert "wall-clock" in job.error
+        assert _span_names(job.trace) == ["service.job", "slow.before"]
+        assert collector.roots == []
+        assert collector.summary()["spans"] == 0
+        assert collector.dropped_spans == 0
+
     def test_trace_size_does_not_grow_with_iterations(self):
         traces = {}
         with telemetry.session():

@@ -130,6 +130,78 @@ class TestSpans:
         assert collector.dropped_spans == 0
         assert collector.summary()["spans"] == 0
 
+    def test_adopted_thread_nests_under_parent_until_it_ends(self):
+        collector = TelemetryCollector()
+        opened, ended = threading.Event(), threading.Event()
+
+        def work(parent):
+            with collector.adopt(parent):
+                with telemetry.span("inside"):
+                    pass
+                opened.set()
+                ended.wait(10.0)
+                with telemetry.span("late"):  # the parent has ended
+                    pass
+
+        with telemetry.session(collector):
+            with telemetry.span("job") as job:
+                thread = threading.Thread(target=work, args=(job,))
+                thread.start()
+                assert opened.wait(10.0)
+            trace = collector.detach(job)
+            ended.set()
+            thread.join(10.0)
+        assert [child["name"] for child in trace["children"]] == ["inside"]
+        assert collector.roots == []
+        assert collector.summary()["spans"] == 0
+        assert collector.dropped_spans == 0
+
+    def test_adopted_spans_racing_a_detach_lose_no_budget(self):
+        # Adopting threads keep opening spans while their parent ends and
+        # is detached; each span must be either in the detached tree (and
+        # given back with it) or never counted.
+        collector = TelemetryCollector()
+
+        def work(parent, started):
+            with collector.adopt(parent):
+                started.wait(10.0)
+                for _ in range(200):
+                    with telemetry.span("work"):
+                        with telemetry.span("step"):
+                            pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.session(collector):
+                for _ in range(20):
+                    started = threading.Barrier(5)
+                    with telemetry.span("job") as job:
+                        threads = [
+                            threading.Thread(target=work, args=(job, started))
+                            for _ in range(4)
+                        ]
+                        for thread in threads:
+                            thread.start()
+                        started.wait(10.0)
+                    collector.detach(job)
+                    for thread in threads:
+                        thread.join(60.0)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert collector.roots == []
+        assert collector.summary()["spans"] == 0
+        assert collector.dropped_spans == 0
+
+    def test_adopt_refuses_a_thread_with_open_spans(self):
+        collector = TelemetryCollector()
+        with telemetry.session(collector):
+            with telemetry.span("outer") as outer:
+                with pytest.raises(ValueError, match="no open span"):
+                    with collector.adopt(outer):
+                        pass
+
     def test_walk_and_span_names(self):
         with telemetry.session() as collector:
             with telemetry.span("a"):
