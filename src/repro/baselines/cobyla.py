@@ -57,18 +57,32 @@ What runs here, and why each simplification is exact at m = 0:
   ``retmsg`` printers (the history is never returned and ``iprint`` is
   0), and the front ends' bound and constraint processing.
 
-Reductions keep pyprima's order: ``np.sum`` where it calls
-``primasum``, ``x * x`` where it calls ``primapow2``, and numpy's
-``dot``, ``@``, ``outer``, ``linalg.norm`` and ``linalg.inv`` where it
-calls ``inprod``, ``matprod``, ``outprod``, ``norm`` and ``inv``.
-What scipy's ``ScalarFunction`` does around the loss is kept too (see
-:class:`_Objective`).
+Reductions keep pyprima's order, through numpy's entry points rather
+than the Python-level wrappers pyprima calls, which cost more than the
+arithmetic at these sizes.  Each gives the bits of the call it replaces:
+``np.add.reduce`` with the same axis for ``primasum`` (``np.sum`` is
+that reduction behind ``_wrapreduction``), and likewise
+``np.minimum.reduce``, ``np.maximum.reduce``, ``.argmin()`` and
+``.argmax()``; ``a.dot(b)`` for ``inprod`` (``np.dot``'s C routine);
+``math.sqrt(d.dot(d))`` for ``norm`` (``np.linalg.norm``'s formula for
+a vector, and both square roots round correctly); a broadcast product
+``a[:, np.newaxis] * b`` for ``outprod`` (``np.outer``'s definition);
+a copy for ``moderatex``'s clip of a finite ``x``.  ``redrat``,
+``trrad`` and ``redrho`` are ported as scalar functions, with ``math``
+tests for pyprima's ``np.isnan`` and ``np.isposinf``.
+
+Left as pyprima has them, since each would change bits: ``@`` for
+``matprod``, ``x * x`` for ``primapow2``, every BLAS ``dot`` (OpenBLAS
+may fuse a multiply-add, so a two-entry ``pair.dot(pair)`` is not
+``a*a + b*b`` in general), ``np.hypot`` (libm's, which ``math.hypot``
+is not), the builtin ``sum`` in :func:`_updatexfc`, ``np.linalg.inv``
+and every reduction axis.  What scipy's ``ScalarFunction`` does around
+the loss is kept too (see :class:`_Objective`).
 
 Still taken from pyprima: ``cobyla()``'s option derivation through
-``preproc``; the radius updates ``trrad``, ``redrat`` and ``redrho``;
-``trstlp`` as the kernel's fallback; and the constants.  Importing this
-module raises :class:`ImportError` on a scipy without pyprima;
-:mod:`repro.baselines.optimizer` then calls scipy instead.
+``preproc``; ``trstlp`` as the kernel's fallback; and the constants.
+Importing this module raises :class:`ImportError` on a scipy without
+pyprima; :mod:`repro.baselines.optimizer` then calls scipy instead.
 
 The control flow of :func:`minimize_unconstrained` and of the helpers
 is adapted from ``cobylb``, ``initialize``, ``update``, ``geometry``,
@@ -111,7 +125,7 @@ import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy._lib.pyprima.cobyla.trustregion import trrad, trstlp
+from scipy._lib.pyprima.cobyla.trustregion import trstlp
 from scipy._lib.pyprima.common.consts import (
     CWEIGHT_DEFAULT,
     EPS,
@@ -133,8 +147,6 @@ from scipy._lib.pyprima.common.infos import (
     SMALL_TR_RADIUS,
 )
 from scipy._lib.pyprima.common.preproc import preproc
-from scipy._lib.pyprima.common.ratio import redrat
-from scipy._lib.pyprima.common.redrho import redrho
 
 from repro.baselines.optimizer import check_finite_loss
 from repro.baselines.simplex import initial_simplex_inverse
@@ -196,9 +208,9 @@ class _Objective:
     def _call(self, x: np.ndarray) -> None:
         """Call the loss at ``x``, which this object then owns."""
         self.x = x
-        fx = self.loss(np.copy(x))
+        fx = self.loss(x.copy())
         self.calls += 1
-        if not np.isscalar(fx):
+        if type(fx) is not float and not np.isscalar(fx):
             try:
                 fx = np.asarray(fx).item()
             except (TypeError, ValueError) as error:
@@ -214,11 +226,15 @@ class _Objective:
 
         A NaN in ``x`` gives ``f = sum(x)`` without calling the loss, as
         in pyprima.  Otherwise the loss sees ``x`` clipped to
-        ``±REALMAX`` (``moderatex``, a copy), through the memo.
+        ``±REALMAX`` (``moderatex``, a copy), through the memo; the clip
+        of a finite ``x`` is a plain copy.
         """
-        if np.isnan(x).any():
+        if np.isfinite(x).all():
+            x = x.copy()
+        elif np.isnan(x).any():
             return np.sum(x)
-        x = np.clip(x, -REALMAX, REALMAX)
+        else:
+            x = np.clip(x, -REALMAX, REALMAX)
         # np.array_equal on two n-vectors, as scipy's memo compares them.
         if not (x == self.x).all():
             self._call(x)
@@ -304,7 +320,7 @@ def minimize_unconstrained(
     shortd = False
     ratio = -1
     jdrop_tr = 0
-    gamma3 = np.maximum(1, np.minimum(0.75 * gamma2, 1.5))
+    gamma3 = float(np.maximum(1, np.minimum(0.75 * gamma2, 1.5)))
     maxtr = 10 * maxfun
     tr_steps = tr_fallbacks = 0
     # cobylb calls updatepole at the head of every trust-region step and
@@ -320,15 +336,15 @@ def minimize_unconstrained(
         return _finish(xbest, objective, info)
     info = MAXTR_REACHED
     for _ in range(maxtr):
-        column_sq = np.sum(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
+        column_sq = np.add.reduce(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
         adequate_geo = (column_sq <= 4 * (delta * delta)).all()
         g = (fval[:num_vars] - fval[num_vars]) @ simi
         d, fell_back = _trstlp_unconstrained(g, delta)
         tr_steps += 1
         tr_fallbacks += fell_back
-        dnorm = min(delta, np.linalg.norm(d))
+        dnorm = min(delta, math.sqrt(d.dot(d)))
         shortd = dnorm <= 0.1 * rho
-        preref = -np.dot(d, g)
+        preref = -d.dot(g)
         prerem = preref + 0.0  # + cpen * prerec, and prerec = cval[n] - 0 = 0
         trfail = not (prerem > 1.0e-6 * min(_CPEN, 1) * rho)
         if shortd or trfail:
@@ -344,8 +360,8 @@ def minimize_unconstrained(
                     fbest, xbest = f, x
             # The merit function f + cpen * cstrv, with every cstrv = 0.
             actrem = (fval[num_vars] + 0.0) - (f + 0.0)
-            ratio = redrat(actrem, prerem, eta1)
-            delta = trrad(delta, dnorm, eta1, eta2, gamma1, gamma2, ratio)
+            ratio = _redrat(actrem, prerem, eta1)
+            delta = _trrad(delta, dnorm, eta1, eta2, gamma1, gamma2, ratio)
             if delta <= gamma3 * rho:
                 delta = rho
             ximproved = actrem > 0
@@ -371,9 +387,9 @@ def minimize_unconstrained(
         reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
 
         if improve_geo:
-            column_sq = np.sum(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
+            column_sq = np.add.reduce(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
             if not (column_sq <= 4 * (delta * delta)).all():
-                jdrop_geo = np.argmax(column_sq, axis=0)
+                jdrop_geo = column_sq.argmax()
                 d = _geostep(jdrop_geo, delta / 2, fval, simi)
                 x = sim[:, num_vars] + d
                 f, fresh = _evaluate_near(objective, x, sim, fval, distsq, rhoend)
@@ -394,8 +410,9 @@ def minimize_unconstrained(
             if rho <= rhoend:
                 info = SMALL_TR_RADIUS
                 break
-            delta = max(0.5 * rho, redrho(rho, rhoend))
-            rho = redrho(rho, rhoend)
+            rho_next = _redrho(rho, rhoend)
+            delta = max(0.5 * rho, rho_next)
+            rho = rho_next
             # cobylb's updatepole here is a no-op (see above).
 
     # cobylb's final step: try the last trust-region step if it was short.
@@ -495,7 +512,7 @@ def _findpole(fval: np.ndarray) -> int:
     ``argmin`` (which does not mask a NaN).
     """
     num_vars = fval.size - 1
-    fmin = fval.min()
+    fmin = np.minimum.reduce(fval)
     if fmin < fval[num_vars]:
         return int(fval.argmin())
     if not math.isnan(fmin):
@@ -510,8 +527,9 @@ def _erri(simi: np.ndarray, sim: np.ndarray) -> float:
     """``max |simi @ sim[:, :n] - I|``; NaN if any entry is NaN."""
     num_vars = sim.shape[0]
     product = simi @ sim[:, :num_vars]
-    product.flat[:: num_vars + 1] -= 1.0
-    return np.max(np.abs(product))
+    # The matmul's result is contiguous, so ravel is a view onto it.
+    product.ravel()[:: num_vars + 1] -= 1.0
+    return np.maximum.reduce(np.abs(product), axis=None)
 
 
 def _repaired(sim: np.ndarray, simi: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -521,10 +539,10 @@ def _repaired(sim: np.ndarray, simi: np.ndarray) -> Tuple[np.ndarray, float]:
     it afresh, and the fresh one is kept if it does better.
     """
     erri = _erri(simi, sim)
-    if erri > 0.1 * _ITOL or np.isnan(erri):
+    if erri > 0.1 * _ITOL or math.isnan(erri):
         simi_test = np.linalg.inv(sim[:, : sim.shape[0]])
         erri_test = _erri(simi_test, sim)
-        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+        if erri_test < erri or (math.isnan(erri) and not math.isnan(erri_test)):
             return simi_test, erri_test
     return simi, erri
 
@@ -548,7 +566,7 @@ def _updatepole(
         sim_jopt = sim[:, jopt].copy()
         sim[:, jopt] = 0
         sim[:, :num_vars] -= sim_jopt[:, np.newaxis]
-        simi[jopt, :] = -np.sum(simi, axis=0)
+        simi[jopt, :] = -np.add.reduce(simi, axis=0)
     simi_in = simi
     simi, erri = _repaired(sim, simi)
     if erri <= _ITOL:
@@ -583,17 +601,17 @@ def _updatexfc(
     simi_old = simi
     if jdrop < num_vars:
         sim[:, jdrop] = d
-        simi_jdrop = simi[jdrop, :] / np.dot(simi[jdrop, :], d)
-        simi -= np.outer(simi @ d, simi_jdrop)
+        simi_jdrop = simi[jdrop, :] / simi[jdrop, :].dot(d)
+        simi -= (simi @ d)[:, np.newaxis] * simi_jdrop
         simi[jdrop, :] = simi_jdrop
     else:
         sim[:, num_vars] += d
         sim[:, :num_vars] -= d[:, np.newaxis]
         simid = simi @ d
-        sum_simi = np.sum(simi, axis=0)
+        sum_simi = np.add.reduce(simi, axis=0)
         # The builtin sum, as in pyprima: a left-to-right sum, which
         # np.sum is not.
-        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+        simi += simid[:, np.newaxis] * (sum_simi / (1 - sum(simid)))
     simi, erri = _repaired(sim, simi)
     if not erri <= _ITOL:
         return sim_old, simi_old, DAMAGING_ROUNDING
@@ -618,23 +636,22 @@ def _setdrop_tr(
     distsq = np.zeros(num_vars + 1)
     if ximproved:
         shifted = sim[:, :num_vars] - d[:, np.newaxis]
-        distsq[:num_vars] = np.sum(shifted * shifted, axis=0)
-        distsq[num_vars] = np.sum(d * d)
+        distsq[:num_vars] = np.add.reduce(shifted * shifted, axis=0)
+        distsq[num_vars] = np.add.reduce(d * d)
     else:
-        distsq[:num_vars] = np.sum(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
-    scale = np.maximum(rho, delta / 10)
+        distsq[:num_vars] = np.add.reduce(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
+    scale = max(rho, delta / 10)
     weight = np.maximum(1, distsq / (scale * scale))
     simid = simi @ d
-    score = weight * np.abs(np.append(simid, 1 - np.sum(simid)))
+    score = weight * np.abs(np.concatenate((simid, [1 - np.add.reduce(simid)])))
     if not ximproved:
         score[num_vars] = -1
     score[np.isnan(score)] = -1
-    jdrop = None
     if (score > 0).any():
-        jdrop = np.argmax(score)
-    if ximproved and jdrop is None:
-        jdrop = np.argmax(distsq)
-    return jdrop
+        return score.argmax()
+    if ximproved:
+        return distsq.argmax()
+    return None
 
 
 def _geostep(
@@ -647,11 +664,11 @@ def _geostep(
     """
     num_vars = simi.shape[0]
     d = simi[jdrop, :]
-    d = delbar * (d / np.linalg.norm(d))
+    d = delbar * (d / math.sqrt(d.dot(d)))
     g = (fval[:num_vars] - fval[num_vars]) @ simi
     # pyprima compares -d.g + cpen * cvnd with d.g + cpen * cvpd; adding
     # cpen * 0 = +0.0 changes at most the sign of a zero, which < ignores.
-    dg = np.dot(d, g)
+    dg = d.dot(g)
     if -dg < dg:
         d *= -1
     return d
@@ -672,20 +689,67 @@ def _evaluate_near(
     """
     num_vars = x.size
     to_pole = x - sim[:, num_vars]
-    distsq[num_vars] = np.sum(to_pole * to_pole)
+    distsq[num_vars] = np.add.reduce(to_pole * to_pole)
     to_vertices = x.reshape(num_vars, 1) - (
         sim[:, num_vars].reshape(num_vars, 1) + sim[:, :num_vars]
     )
-    distsq[:num_vars] = np.sum(to_vertices * to_vertices, axis=0)
-    j = np.argmin(distsq)
+    distsq[:num_vars] = np.add.reduce(to_vertices * to_vertices, axis=0)
+    j = distsq.argmin()
     if distsq[j] <= (1e-4 * rhoend) * (1e-4 * rhoend):
         return fval[j], False
     return objective.value(x), True
 
 
+def _redrat(ared: float, pred: float, rshrink: float) -> float:
+    """``redrat``: the reduction ratio ``ared / pred``, safe for NaN and inf.
+
+    pyprima's branches, with ``math`` tests for its scalar ``np.isnan``
+    and ``np.isposinf``.
+    """
+    if math.isnan(ared):
+        return -REALMAX
+    if math.isnan(pred) or pred <= 0:
+        return rshrink / 2 if ared > 0 else -REALMAX
+    if pred == math.inf and ared == math.inf:
+        return 1
+    if pred == math.inf and ared == -math.inf:
+        return -REALMAX
+    return ared / pred
+
+
+def _trrad(
+    delta_in: float,
+    dnorm: float,
+    eta1: float,
+    eta2: float,
+    gamma1: float,
+    gamma2: float,
+    ratio: float,
+) -> float:
+    """``trrad``: the next trust-region radius from the step's ``ratio``."""
+    if ratio <= eta1:
+        return gamma1 * dnorm
+    if ratio <= eta2:
+        return max(gamma1 * delta_in, dnorm)
+    return max(gamma1 * delta_in, gamma2 * dnorm)
+
+
+def _redrho(rho_in: float, rhoend: float) -> float:
+    """``redrho``: the next ``rho`` once the current one is exhausted."""
+    rho_ratio = rho_in / rhoend
+    if rho_ratio > 250:
+        return 0.1 * rho_in
+    if rho_ratio <= 16:
+        return rhoend
+    return math.sqrt(rho_ratio) * rhoend
+
+
 #: ``planerot``'s range for its direct ``x / norm(x)`` rotation.
-_ROTATION_MIN = np.sqrt(REALMIN)
-_ROTATION_MAX = np.sqrt(REALMAX / 2.1)
+_ROTATION_MIN = math.sqrt(REALMIN)
+_ROTATION_MAX = math.sqrt(REALMAX / 2.1)
+
+#: ``EPS`` as a Python float, for the kernel's scalar loop.
+_EPS = float(EPS)
 
 #: ``trstlp`` rescales a gradient with an entry above this.
 _TRSTLP_MAX_ENTRY = 1e12
@@ -725,7 +789,8 @@ def _trstlp_unconstrained(g: np.ndarray, delta: float) -> Tuple[np.ndarray, bool
     if not magnitude.any():
         return np.zeros(num_vars), False
     # A NaN fails both tests; an infinity or a rescaled g fails the second.
-    if not (magnitude.min() > _ROTATION_MIN and magnitude.max() <= _TRSTLP_MAX_ENTRY):
+    low, high = np.minimum.reduce(magnitude), np.maximum.reduce(magnitude)
+    if not (low > _ROTATION_MIN and high <= _TRSTLP_MAX_ENTRY):
         return _trstlp_general(g, delta), True
     entries = g.tolist()
     v = np.zeros(num_vars)
@@ -735,16 +800,17 @@ def _trstlp_unconstrained(g: np.ndarray, delta: float) -> Tuple[np.ndarray, bool
     for k in range(num_vars - 2, -1, -1):
         gk = entries[k]
         # planerot's ratio branches (c or s set to exactly 0 or ±1).
-        if abs(zdota) <= EPS * abs(gk) or abs(gk) <= EPS * abs(zdota):
+        if abs(zdota) <= _EPS * abs(gk) or abs(gk) <= _EPS * abs(zdota):
             return _trstlp_general(g, delta), True
         # planerot's r = norm(x) is sqrt(x.dot(x)); a BLAS dot may fuse
         # the multiply-add, so r is not sqrt(a*a + b*b) in general.
         pair[0] = gk
         pair[1] = zdota
-        r = np.sqrt(pair.dot(pair))
+        r = math.sqrt(pair.dot(pair))
         v[k + 1:] *= zdota / r
         v[k] = gk / r
-        zdota = np.hypot(gk, zdota)
+        # libm's hypot, which math.hypot is not.
+        zdota = float(np.hypot(gk, zdota))
         if not _ROTATION_MIN < zdota < _ROTATION_MAX:
             return _trstlp_general(g, delta), True
     # qradd_Rdiag adds the column only if |zdota| > EPS**2 (zdota = g[0]
@@ -755,11 +821,11 @@ def _trstlp_unconstrained(g: np.ndarray, delta: float) -> Tuple[np.ndarray, bool
     # trstlp's step to the boundary from d = 0, where sd = sdirn @ d = 0;
     # each early return is one of its breaks, taken before d moves.
     dd = delta * delta
-    ss = np.dot(sdirn, sdirn)
-    if dd <= 0 or ss <= EPS * delta * delta:
+    ss = float(sdirn.dot(sdirn))
+    if dd <= 0 or ss <= _EPS * delta * delta:
         return np.zeros(num_vars), False
-    step = np.sqrt(ss * dd) / ss
-    if not 0 < step < np.inf:
+    step = math.sqrt(ss * dd) / ss
+    if not 0 < step < math.inf:
         return np.zeros(num_vars), False
     # trstlp then solves lstsq(g, d_new) for the multiplier vmultd, which
     # stage 2 clamps to max(0, -lstsq) >= 0.  The step fraction takes

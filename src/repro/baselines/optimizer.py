@@ -55,8 +55,10 @@ def minimize_cobyla(
     loss ``evaluations``, the seconds spent inside the loss (``loss_s``)
     and why COBYLA stopped (``stop``); on the in-repo loop also the
     trust-region steps taken (``tr_steps``) and how many of them
-    pyprima's general ``trstlp`` served (``tr_fallbacks``).  A 0-d
-    ``x0`` is read as a 1-vector, as scipy reads it.
+    pyprima's general ``trstlp`` served (``tr_fallbacks``).  The
+    histogram ``optimizer.driver_s`` takes the span's time less the
+    loss's, once per call.  A 0-d ``x0`` is read as a 1-vector, as scipy
+    reads it.
 
     Raises:
         SolverError: when ``rhobeg`` is not a finite positive number
@@ -84,6 +86,7 @@ def minimize_cobyla(
     with telemetry.span(
         "optimizer.cobyla", dimensions=int(x0.size), budget=budget
     ) as span:
+        started = time.perf_counter()
         unconstrained = _unconstrained()
         if unconstrained is not None:
             run = unconstrained.minimize_unconstrained(loss, x0, budget, rhobeg)
@@ -104,6 +107,9 @@ def minimize_cobyla(
             span.set(stop=_fallback_stop(outcome, budget))
         span.set(evaluations=evaluations, loss_s=loss.seconds)
         telemetry.add("optimizer.evaluations", evaluations)
+        telemetry.observe(
+            "optimizer.driver_s", time.perf_counter() - started - loss.seconds
+        )
     return np.asarray(x, dtype=float)
 
 

@@ -346,31 +346,50 @@ def _run_batch_run(ctx, iteration: int):
     return ctx["solver"].execute_batch(ctx["batch"])
 
 
-def _cobyla_setup(seed: int):
-    from repro.simulators.seeding import make_rng
+def _cobyla_setup(num_parameters: int, budget: int):
+    def setup(seed: int):
+        from repro.simulators.seeding import make_rng
 
-    return make_rng(seed).uniform(-1.0, 1.0, size=8)
+        return {
+            "target": make_rng(seed).uniform(-1.0, 1.0, size=num_parameters),
+            "budget": budget,
+        }
+
+    return setup
 
 
-@register_workload(
-    "micro.optimizer.cobyla",
-    description="minimize_cobyla on an 8-parameter quadratic (budget 200)",
-    suites=("micro",),
-    seed=108,
-    counters=("optimizer.evaluations",),
-    setup=_cobyla_setup,
-)
-def _cobyla_run(target, iteration: int):
+def _cobyla_run(ctx, iteration: int):
     import numpy as np
 
     from repro.baselines.optimizer import minimize_cobyla
 
     # The loss costs microseconds, so the sample is the optimizer's own time.
+    target = ctx["target"]
     return minimize_cobyla(
         lambda x: float(((x - target) ** 2).sum()),
         np.zeros(target.size),
-        max_iterations=200,
+        max_iterations=ctx["budget"],
     )
+
+
+register_workload(
+    "micro.optimizer.cobyla",
+    description="minimize_cobyla on an 8-parameter quadratic (budget 200)",
+    suites=("micro", "quick"),
+    seed=108,
+    counters=("optimizer.evaluations",),
+    setup=_cobyla_setup(8, 200),
+)(_cobyla_run)
+
+register_workload(
+    "micro.optimizer.cobyla_small",
+    description="minimize_cobyla on a 3-parameter quadratic (budget 40): "
+    "the service job's shape",
+    suites=("micro", "quick"),
+    seed=110,
+    counters=("optimizer.evaluations",),
+    setup=_cobyla_setup(3, 40),
+)(_cobyla_run)
 
 
 def _hea_simplex_setup(seed: int):

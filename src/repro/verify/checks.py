@@ -1062,7 +1062,7 @@ def _simplex_cases(ctx: CheckContext) -> List[Tuple[str, str, Dict[str, Any]]]:
     vertex; a vertex tied with the pole), a NaN value, ``jdrop < n``
     and ``jdrop == n``, ``ximproved`` both ways, a ``simi`` that the
     ``inv`` repair replaces, and Hilbert simplices that end in
-    ``DAMAGING_ROUNDING``.
+    ``DAMAGING_ROUNDING``; then the radius updates (:func:`_radius_cases`).
     """
     cases: List[Tuple[str, str, Dict[str, Any]]] = []
     for n in _SIMPLEX_DIMENSIONS:
@@ -1140,6 +1140,107 @@ def _simplex_cases(ctx: CheckContext) -> List[Tuple[str, str, Dict[str, Any]]]:
                     {**bad, "jdrop": k, "d": d, "f": pole + 0.5},
                 ),
             ]
+    return cases + _radius_cases(ctx)
+
+
+#: Argument names of the radius updates, in call order.
+_RADIUS_HELPERS = {
+    "redrat": ("ared", "pred", "rshrink"),
+    "trrad": ("delta_in", "dnorm", "eta1", "eta2", "gamma1", "gamma2", "ratio"),
+    "redrho": ("rho_in", "rhoend"),
+}
+
+
+def _radius_cases(ctx: CheckContext) -> List[Tuple[str, str, Dict[str, Any]]]:
+    """``redrat``, ``trrad`` and ``redrho`` cases with the driver's constants.
+
+    ``redrat``: a NaN ``ared``; ``pred`` NaN, zero or negative with a
+    gain, a loss and no change; the ``±inf`` pairs; ratios that land
+    exactly on ``eta1`` and ``eta2``.  ``trrad``: ratios below, at,
+    between and above ``eta1`` and ``eta2``, with either term of each
+    ``max`` larger.  ``redrho``: ``rho / rhoend`` exactly 16 and 250,
+    one ulp either side, and between.  Each helper also gets seeded
+    ``float64`` inputs, the type the driver passes.
+    """
+    from scipy._lib.pyprima.common.consts import (
+        ETA1_DEFAULT,
+        GAMMA1_DEFAULT,
+        GAMMA2_DEFAULT,
+        REALMAX,
+    )
+
+    from repro.baselines.cobyla import RHOEND
+
+    eta1 = ETA1_DEFAULT
+    eta2 = (eta1 + 2) / 3  # as minimize_unconstrained derives it
+    inf, nan = math.inf, math.nan
+    cases: List[Tuple[str, str, Dict[str, Any]]] = []
+    for name, ared, pred in (
+        ("nan-ared", nan, 1.0),
+        ("nan-both", nan, nan),
+        ("nan-pred-gain", 0.5, nan),
+        ("nan-pred-loss", -0.5, nan),
+        ("zero-pred-gain", 0.5, 0.0),
+        ("zero-pred-loss", -0.5, 0.0),
+        ("zero-pred-flat", 0.0, 0.0),
+        ("negative-pred-gain", 0.5, -1.0),
+        ("negative-pred-loss", -0.5, -1.0),
+        ("inf-inf", inf, inf),
+        ("minus-inf-inf", -inf, inf),
+        ("finite-inf", 2.0, inf),
+        ("inf-finite", inf, 2.0),
+        ("minus-inf-finite", -inf, 2.0),
+        ("at-eta1", 2.0 * eta1, 2.0),
+        ("at-eta2", 4.0 * eta2, 4.0),
+    ):
+        inputs = {"ared": ared, "pred": pred, "rshrink": eta1}
+        cases.append((f"redrat/{name}", "redrat", inputs))
+
+    constants = {"eta1": eta1, "eta2": eta2, "gamma1": GAMMA1_DEFAULT,
+                 "gamma2": GAMMA2_DEFAULT}
+    for name, delta_in, dnorm, ratio in (
+        ("bad", 0.5, 0.3, -REALMAX),
+        ("below-eta1", 0.5, 0.3, 0.5 * eta1),
+        ("at-eta1", 0.5, 0.3, eta1),
+        ("between-gamma1-delta", 0.5, 0.1, 0.5 * (eta1 + eta2)),
+        ("between-dnorm", 0.5, 0.4, 0.5 * (eta1 + eta2)),
+        ("at-eta2", 0.5, 0.3, eta2),
+        ("above-gamma1-delta", 0.5, 0.05, 1.0),
+        ("above-gamma2-dnorm", 0.5, 0.5, 1.0),
+    ):
+        inputs = {"delta_in": delta_in, "dnorm": dnorm, "ratio": ratio, **constants}
+        cases.append((f"trrad/{name}", "trrad", inputs))
+
+    # A power of two makes each rho_in / rhoend exact.
+    rhoend = 2.0**-13
+    for name, rho_in in (
+        ("ratio-16", 16 * rhoend),
+        ("above-16", np.nextafter(16 * rhoend, inf)),
+        ("ratio-100", 100 * rhoend),
+        ("below-250", np.nextafter(250 * rhoend, 0.0)),
+        ("ratio-250", 250 * rhoend),
+        ("above-250", np.nextafter(250 * rhoend, inf)),
+        ("ratio-5000", 5000 * rhoend),
+    ):
+        cases.append(
+            (f"redrho/{name}", "redrho", {"rho_in": rho_in, "rhoend": rhoend})
+        )
+
+    rng = ctx.rng("radius")
+    for i in range(8):
+        pred, ared = rng.uniform(1e-6, 1.0), rng.normal()
+        ratio = np.float64(rng.uniform(-0.5, 1.5))
+        dnorm = rng.uniform(1e-4, 0.5)
+        rho_in = RHOEND * np.float64(rng.uniform(1.0, 2000.0))
+        cases += [
+            (f"redrat/seeded-{i}", "redrat",
+             {"ared": ared, "pred": pred, "rshrink": eta1}),
+            (f"trrad/seeded-{i}", "trrad",
+             {"delta_in": dnorm * rng.uniform(1.0, 3.0), "dnorm": dnorm,
+              "ratio": ratio, **constants}),
+            (f"redrho/seeded-{i}", "redrho",
+             {"rho_in": rho_in, "rhoend": RHOEND}),
+        ]
     return cases
 
 
@@ -1158,6 +1259,17 @@ def _run_simplex_helper(helper: str, inputs: Dict[str, Any], use_pyprima: bool):
 
     from repro.baselines import cobyla
 
+    if helper in _RADIUS_HELPERS:
+        if use_pyprima:
+            from scipy._lib.pyprima.cobyla.trustregion import trrad
+            from scipy._lib.pyprima.common.ratio import redrat
+            from scipy._lib.pyprima.common.redrho import redrho
+
+            run = {"redrat": redrat, "trrad": trrad, "redrho": redrho}[helper]
+        else:
+            run = getattr(cobyla, f"_{helper}")
+        value = run(*(inputs[name] for name in _RADIUS_HELPERS[helper]))
+        return {"value": value}, False
     args = {
         key: value.copy() if isinstance(value, np.ndarray) else value
         for key, value in inputs.items()
@@ -1219,6 +1331,8 @@ def _simplex_branches(
 
     from repro.baselines.cobyla import _findpole
 
+    if helper in _RADIUS_HELPERS:
+        return [_radius_branch(helper, inputs)]
     if helper == "setdrop_tr":
         n = inputs["sim"].shape[0]
         jdrop = payload["jdrop"]
@@ -1251,11 +1365,29 @@ def _simplex_branches(
     return tags
 
 
+def _radius_branch(helper: str, inputs: Dict[str, Any]) -> str:
+    """The branch of ``redrat``, ``trrad`` or ``redrho`` a case takes."""
+    if helper == "redrho":
+        rho_ratio = inputs["rho_in"] / inputs["rhoend"]
+        return ">250" if rho_ratio > 250 else "<=16" if rho_ratio <= 16 else "sqrt"
+    if helper == "trrad":
+        ratio = inputs["ratio"]
+        if ratio <= inputs["eta1"]:
+            return "ratio<=eta1"
+        return "ratio<=eta2" if ratio <= inputs["eta2"] else "ratio>eta2"
+    ared, pred = inputs["ared"], inputs["pred"]
+    if math.isnan(ared):
+        return "nan-ared"
+    if math.isnan(pred) or pred <= 0:
+        return "pred<=0"
+    return "inf-pair" if math.isinf(pred) and math.isinf(ared) else "quotient"
+
+
 @register_check(
     "simplex-update-vs-pyprima",
     "pyprima's updatepole, updatexfc, setdrop_tr and geostep with no "
-    "constraints vs the driver's m = 0 versions, on seeded and edge-case "
-    "simplices",
+    "constraints, and its redrat, trrad and redrho, vs the driver's m = 0 "
+    "versions and scalar ports, on seeded and edge-case inputs",
     suites=("full",),
     tolerance=0.0,
 )
@@ -1263,9 +1395,11 @@ def check_simplex_update_vs_pyprima(ctx: CheckContext) -> CheckOutput:
     """The m = 0 simplex bookkeeping must return pyprima's bits.
 
     Path A calls pyprima's ``updatepole``, ``updatexfc``, ``setdrop_tr``
-    and ``geostep`` with an ``n x 0`` ``conmat`` and zero ``cval``; path
-    B calls ``_updatepole``, ``_updatexfc``, ``_setdrop_tr`` and
-    ``_geostep`` from :mod:`repro.baselines.cobyla`.  The details list
+    and ``geostep`` with an ``n x 0`` ``conmat`` and zero ``cval``, and
+    its ``redrat``, ``trrad`` and ``redrho``; path B calls
+    ``_updatepole``, ``_updatexfc``, ``_setdrop_tr``, ``_geostep``,
+    ``_redrat``, ``_trrad`` and ``_redrho`` from
+    :mod:`repro.baselines.cobyla`.  The details list
     the branches each case took.  Full suite only: on a scipy without
     pyprima there is nothing to compare.
     """

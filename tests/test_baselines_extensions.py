@@ -343,3 +343,62 @@ class TestCobylaOptimizer:
                 "geostep", jdrop=jdrop, delbar=0.2, fval=fval, simi=simi
             )
 
+
+
+class TestObjective:
+    """``_Objective.value``: PRIMA's ``evaluate`` at m = 0."""
+
+    @staticmethod
+    def _recording(x0):
+        """An ``_Objective`` at ``x0`` whose loss records each argument."""
+        pytest.importorskip("scipy._lib.pyprima")
+        from repro.baselines.cobyla import _Objective
+
+        seen = []
+
+        def loss(x):
+            seen.append(x)
+            return float(np.abs(x).sum())
+
+        return _Objective(loss, np.asarray(x0, dtype=float)), seen
+
+    def test_finite_point_reaches_the_loss_as_a_copy(self):
+        objective, seen = self._recording([0.0, 0.0])
+        x = np.array([0.25, -0.0])
+        assert objective.value(x) == 0.25
+        assert len(seen) == 2
+        assert not np.shares_memory(seen[-1], x)
+        assert not np.shares_memory(seen[-1], objective.x)
+        assert not np.shares_memory(objective.x, x)
+        assert seen[-1].tobytes() == x.tobytes()  # -0.0 kept
+        seen[-1][0] = 9.0
+        x[1] = 9.0
+        assert objective.x.tolist() == [0.25, 0.0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_entry_is_clipped_and_breaks(self, sign):
+        pytest.importorskip("scipy._lib.pyprima")
+        from scipy._lib.pyprima.common.consts import REALMAX
+        from scipy._lib.pyprima.common.infos import NAN_INF_X
+
+        from repro.baselines.cobyla import _checkbreak
+
+        objective, seen = self._recording([0.0, 0.0])
+        x = np.array([0.5, sign * np.inf])
+        f = objective.value(x)
+        assert seen[-1].tolist() == [0.5, sign * REALMAX]
+        assert np.isinf(x[1])  # the caller's x is not clipped in place
+        assert _checkbreak(100, 3, f, x) == NAN_INF_X
+
+    def test_nan_point_returns_its_sum_without_calling_the_loss(self):
+        objective, seen = self._recording([0.0, 0.0])
+        f = objective.value(np.array([0.5, np.nan]))
+        assert np.isnan(f)
+        assert len(seen) == objective.calls == 1
+
+    def test_repeated_point_is_served_from_the_memo(self):
+        objective, seen = self._recording([0.0, 0.0])
+        x = np.array([0.5, -0.25])
+        first = objective.value(x)
+        assert objective.value(x.copy()) == first
+        assert len(seen) == objective.calls == 2

@@ -340,6 +340,10 @@ class TestParallelDeterminism:
 #: must match a serial run exactly.
 _TOPOLOGY_COUNTERS = ("engine.parallel.",)
 
+#: Histograms of wall-clock seconds: their counts match a serial run,
+#: their buckets depend on timing.
+_WALL_CLOCK_HISTOGRAMS = ("optimizer.driver_s",)
+
 
 class TestParallelTelemetryEquivalence:
     def _traced_solve(self, problem, workers):
@@ -377,7 +381,8 @@ class TestParallelTelemetryEquivalence:
         assert set(parallel.histograms) == set(serial.histograms)
         for name, histogram in serial.histograms.items():
             assert parallel.histograms[name].count == histogram.count, name
-            assert parallel.histograms[name].buckets == histogram.buckets, name
+            if name not in _WALL_CLOCK_HISTOGRAMS:
+                assert parallel.histograms[name].buckets == histogram.buckets, name
 
     def test_worker_spans_stitched_under_engine_map(self, small_flp):
         collector = self._traced_solve(small_flp, 2)

@@ -506,6 +506,28 @@ class TestSolverIntegration:
         loss_s = span.attributes["loss_s"]
         assert 0 < span.attributes["evaluations"] * 1e-4 <= loss_s <= span.duration
 
+    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    def test_cobyla_observes_driver_seconds_once_per_call(self, monkeypatch, path):
+        # optimizer.driver_s is timed inside the span, less the loss.
+        import numpy as np
+
+        from repro.baselines import optimizer
+
+        if path == "scipy":
+            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
+
+        def loss(x):
+            return float(((x - 0.25) ** 2).sum())
+
+        with telemetry.session() as collector:
+            for n in (2, 4):
+                optimizer.minimize_cobyla(loss, np.zeros(n), max_iterations=30)
+        spans = [s for s in collector.iter_spans() if s.name == "optimizer.cobyla"]
+        driver = collector.histograms["optimizer.driver_s"]
+        assert driver.count == len(spans) == 2
+        assert driver.minimum > 0
+        assert driver.total <= sum(s.duration - s.attributes["loss_s"] for s in spans)
+
     @pytest.mark.parametrize("fallback", [False, True])
     def test_cobyla_span_reports_trust_region_fallbacks(self, fallback):
         import numpy as np
