@@ -169,8 +169,10 @@ def _add_judgement_arguments(parser: argparse.ArgumentParser) -> None:
         type=_parse_threshold,
         default=compare_mod.DEFAULT_THRESHOLD,
         metavar="PCT",
+        # argparse %-formats help strings: the rendered percent sign
+        # must reach it doubled.
         help="noise allowance, e.g. 10%% or 0.1 "
-        f"(default {compare_mod.DEFAULT_THRESHOLD:.0%})",
+        f"(default {compare_mod.DEFAULT_THRESHOLD * 100:.0f}%%)",
     )
     parser.add_argument(
         "--confidence",

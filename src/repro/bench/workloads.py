@@ -15,10 +15,11 @@ Three layers are covered, mirroring the execution architecture
 * ``macro.*`` — end-to-end :class:`~repro.core.solver.RasenganSolver`
   solves on the five benchmark families (F1/K1/J1/S1/G1) plus one
   baseline per family through the shared experiment runner.
-* ``service.*`` — an HTTP job round-trip and a dedup-coalesced burst
-  against an in-process :class:`~repro.service.workers.SolverService`,
-  and one job's runner under an enabled collector (the only timed
-  sample that pays for tracing).
+* ``service.*`` — an HTTP job round-trip, a dedup-coalesced burst and
+  a result-store-hit submit against a full job index, all on an
+  in-process :class:`~repro.service.workers.SolverService`, and one
+  job's runner under an enabled collector (the only timed sample that
+  pays for tracing).
 
 Determinism contract: the workload list for a suite, every workload's
 seed, and every recorded counter value are pure functions of the tree —
@@ -647,3 +648,50 @@ def _service_traced_run(spec, iteration: int):
         with telemetry.span("service.job", problem="F1") as job_span:
             result = default_runner(spec)
         return {"result": result, "trace": collector.detach(job_span)}
+
+
+def _service_full_index_setup(seed: int):
+    from repro.problems.io import problem_to_dict
+    from repro.problems.registry import make_benchmark
+    from repro.service.dedup import job_fingerprint
+    from repro.service.jobs import JobSpec
+    from repro.service.store import ResultStore
+    from repro.service.workers import SolverService
+
+    # No workers: every submit below is a result-store hit.
+    service = SolverService(workers=1, store=ResultStore(capacity=64))
+    payload = problem_to_dict(make_benchmark("F1", case=0))
+    config = {"seed": seed}
+    spec = JobSpec(problem=payload, config=config)
+    service.store.put(job_fingerprint(spec), {"seed": seed})
+    # Fill the job index to capacity with terminal jobs inside their TTL.
+    for _ in range(service.max_jobs):
+        service.submit(payload, config=config)
+    return {"service": service, "payload": payload, "config": config}
+
+
+def _service_full_index_teardown(ctx) -> None:
+    ctx["service"].close(drain=False)
+
+
+@register_workload(
+    "service.submit.full_index",
+    description="one result-store-hit submit against a job index holding "
+    "4,096 terminal jobs inside their TTL, so each submit also evicts the "
+    "oldest-finished job",
+    suites=("service", "quick"),
+    seed=304,
+    counters=(
+        "service.jobs.submitted",
+        "service.jobs.evicted",
+        "service.store.hits",
+    ),
+    setup=_service_full_index_setup,
+    teardown=_service_full_index_teardown,
+    inner=16,
+)
+def _service_full_index_run(ctx, iteration: int):
+    job = ctx["service"].submit(ctx["payload"], config=ctx["config"])
+    if not job.from_cache:
+        raise RuntimeError(f"submit {job.id} missed the result store")
+    return job

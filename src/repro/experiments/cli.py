@@ -419,6 +419,7 @@ def _inspect_main(argv: List[str]) -> int:
     record = {
         "problem": problem.name,
         "fingerprint": pipeline.problem_fingerprint,
+        "compile_fingerprint": pipeline.compile_fingerprint,
         "stages": [
             {
                 "name": entry["stage"],

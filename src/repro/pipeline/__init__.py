@@ -7,11 +7,13 @@ The Rasengan solve path is structurally a compiler::
 This package factors it into exactly those passes.  Every pass consumes
 and produces immutable artifact dataclasses
 (:mod:`repro.pipeline.artifacts`) whose fingerprints are content
-addresses rooted at :func:`repro.problems.io.problem_fingerprint`; the
-:class:`ArtifactCache` (in-memory LRU + optional ``.npz`` spill
-directory) then lets restarts, candidate re-scoring, experiment sweeps,
-and service jobs that differ only in backend/shots/optimizer settings
-reuse every pre-execution artifact instead of recomputing it.
+addresses rooted at :func:`repro.problems.io.compile_fingerprint` —
+problem type, ``C``, ``b`` and the initial feasible state, the only
+problem data the passes read; the :class:`ArtifactCache` (in-memory
+LRU + optional ``.npz`` spill directory) then lets restarts, candidate
+re-scoring, experiment sweeps, and service jobs that differ only in
+objective or backend/shots/optimizer settings reuse every
+pre-execution artifact instead of recomputing it.
 
 :class:`~repro.core.solver.RasenganSolver` is a thin orchestration over
 :class:`SolvePipeline`; the variational baselines route their
@@ -42,6 +44,7 @@ from repro.pipeline.manager import (
     capture_report,
     compile_ansatz,
     fingerprint_report,
+    resolve_compile_fingerprint,
     resolve_problem_fingerprint,
     stage_fingerprint,
 )
@@ -83,6 +86,7 @@ __all__ = [
     "configure_cache",
     "fingerprint_report",
     "get_default_cache",
+    "resolve_compile_fingerprint",
     "resolve_problem_fingerprint",
     "stage_fingerprint",
 ]

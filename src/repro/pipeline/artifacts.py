@@ -2,12 +2,14 @@
 
 Each compilation pass (:mod:`repro.pipeline.stages`) consumes and
 produces one of the frozen dataclasses below.  An artifact is a *value*:
-its :attr:`fingerprint` is a content address derived from the problem
+its :attr:`fingerprint` is a content address derived from the compile
 fingerprint plus every upstream stage's fingerprint and config slice
 (:func:`repro.pipeline.manager.stage_fingerprint`), so two artifacts with
-equal fingerprints are interchangeable by construction.  Numpy arrays
-held by an artifact are marked read-only — a consumer that tries to
-mutate a shared artifact fails loudly instead of corrupting the cache.
+equal fingerprints are interchangeable by construction.  Every numpy
+array field of an artifact is a read-only copy (``writeable=False``):
+one artifact serves every instance with the same constraints, on every
+service thread, so a consumer that writes into it fails loudly instead
+of corrupting another solve.
 
 Every artifact round-trips through ``(meta, arrays)`` payloads
 (:meth:`to_payload` / :func:`artifact_from_payload`) so the
@@ -18,7 +20,7 @@ file and a different process can pick it up by fingerprint alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -32,21 +34,33 @@ class PipelineError(ReproError):
     """Raised for malformed pipeline configuration or artifacts."""
 
 
-def _frozen(array: np.ndarray, dtype=None) -> np.ndarray:
+def _frozen(array: np.ndarray) -> np.ndarray:
     """A read-only copy of ``array`` (artifact arrays are immutable)."""
-    out = np.array(array, dtype=dtype, copy=True)
+    out = np.array(array, copy=True)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class Artifact:
-    """Base class: every pipeline artifact carries its content address."""
+    """Base class: every pipeline artifact carries its content address.
+
+    Construction replaces the value of every field declared
+    ``np.ndarray`` with a read-only array copy.
+    """
 
     fingerprint: str
 
     #: Registry key; set per subclass, used by the spill codec.
     kind = "artifact"
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            # Annotations are strings under ``from __future__ import
+            # annotations``.
+            if spec.type == "np.ndarray":
+                value = _frozen(getattr(self, spec.name))
+                object.__setattr__(self, spec.name, value)
 
     def to_payload(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         """``(JSON-compatible meta, named arrays)`` for spill/transport."""
@@ -84,10 +98,6 @@ class BasisArtifact(Artifact):
     num_variables: int
 
     kind = "basis"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", _frozen(self.basis))
-        object.__setattr__(self, "initial_bits", _frozen(self.initial_bits))
 
     def to_payload(self):
         return (
@@ -128,9 +138,6 @@ class HamiltonianArtifact(Artifact):
 
     kind = "hamiltonian"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", _frozen(self.basis))
-
     def to_payload(self):
         meta: Dict[str, Any] = {
             "kind": self.kind,
@@ -167,7 +174,7 @@ class PruneArtifact(Artifact):
     kind = "prune"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "initial_bits", _frozen(self.initial_bits))
+        super().__post_init__()
         object.__setattr__(self, "schedule", tuple(int(i) for i in self.schedule))
 
     def to_payload(self):

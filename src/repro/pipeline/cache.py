@@ -1,13 +1,13 @@
 """Content-addressed artifact cache: in-memory LRU + optional npz spill.
 
-The cache is keyed purely by stage fingerprint — a hash of the problem
-fingerprint, every upstream stage fingerprint, and the stage's config
-slice — so a lookup either misses or returns an artifact that is
-interchangeable with what the stage would have computed.  Sharing one
-cache across solvers, threads, or service jobs therefore never changes
-results; it only skips recomputation.  It is thread-safe: all
-bookkeeping happens under an internal lock, and artifacts are immutable
-values.
+The cache is keyed purely by stage fingerprint — a hash of the compile
+fingerprint (problem type, ``C``, ``b``, ``x0``), every upstream stage
+fingerprint, and the stage's config slice — so a lookup either misses or
+returns an artifact that is interchangeable with what the stage would
+have computed.  Sharing one cache across solvers, threads, or service
+jobs therefore never changes results; it only skips recomputation.  It
+is thread-safe: all bookkeeping happens under an internal lock, and
+artifacts are immutable values.
 
 With a ``spill_dir`` the cache additionally persists every stored
 artifact as ``<fingerprint>.npz`` (arrays + a JSON meta record) and

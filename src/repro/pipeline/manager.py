@@ -4,12 +4,18 @@
 (problem, config) pair.  For every stage it
 
 1. derives the stage fingerprint — SHA-256 over the stage name, the
-   fingerprints of its input artifacts (rooted at
-   :func:`repro.problems.io.problem_fingerprint`), and the stage's
+   fingerprints of its input artifacts (rooted at the compile
+   fingerprint, :func:`repro.problems.io.compile_fingerprint`: problem
+   type, ``C``, ``b`` and the initial feasible state), and the stage's
    config slice;
 2. consults the :class:`~repro.pipeline.cache.ArtifactCache` (in-memory
    LRU, then the spill directory);
 3. on a miss, runs the pass and stores the artifact.
+
+Every pass depends on ``(C, b, x0)`` alone, so instances that differ
+only in objective share one compiled chain.  A pass whose config makes
+it read the objective (the prune pass under ``warm_start``) also takes
+the full problem fingerprint as an input.
 
 Each pass — hit or miss — emits one ``pipeline.<stage>`` telemetry span
 tagged with the fingerprint and the artifact source, so a Chrome trace
@@ -27,6 +33,7 @@ instances share one synthesized circuit template.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -39,7 +46,7 @@ from repro.exceptions import ProblemError
 from repro.pipeline.artifacts import AnsatzArtifact, Artifact, PipelineError
 from repro.pipeline.cache import ArtifactCache, get_default_cache
 from repro.pipeline.stages import SOLVE_STAGES, Stage
-from repro.problems.io import problem_fingerprint
+from repro.problems.io import compile_fingerprint, problem_fingerprint
 
 #: Bump when a stage's output format changes incompatibly: old spill
 #: files then simply miss instead of deserializing into the wrong shape.
@@ -52,7 +59,7 @@ def stage_fingerprint(
     """Content address of one stage invocation.
 
     A pure function of the stage name, the input artifact fingerprints
-    (transitively rooted at the problem fingerprint), and the stage's
+    (transitively rooted at the compile fingerprint), and the stage's
     config slice — stable across processes, dict ordering, and runs.
     """
     payload = {
@@ -101,6 +108,21 @@ def resolve_problem_fingerprint(problem) -> str:
         return token
 
 
+def resolve_compile_fingerprint(problem) -> str:
+    """Root of the compile passes' fingerprints for ``problem``.
+
+    Registry problems hash type, ``C``, ``b`` and the initial feasible
+    state (:func:`~repro.problems.io.compile_fingerprint`), so instances
+    that differ only in objective share every compiled artifact.  A
+    custom subclass may override how its basis or start is built, so it
+    keeps :func:`resolve_problem_fingerprint`'s per-instance fallback.
+    """
+    try:
+        return compile_fingerprint(problem)
+    except ProblemError:
+        return resolve_problem_fingerprint(problem)
+
+
 # ----------------------------------------------------------------------
 # Per-thread stage-report capture (service job timelines)
 # ----------------------------------------------------------------------
@@ -138,9 +160,9 @@ class SolvePipeline:
     """Staged compilation of one (problem, config) pair.
 
     Args:
-        problem: the problem instance (its
-            :func:`~repro.problems.io.problem_fingerprint` roots every
-            stage fingerprint).
+        problem: the problem instance (its compile fingerprint,
+            :func:`resolve_compile_fingerprint`, roots every stage
+            fingerprint).
         config: a :class:`~repro.core.solver.RasenganConfig`-shaped
             object; stages read only their declared config slice.
         cache: artifact cache; ``None`` uses the process-wide default
@@ -163,7 +185,8 @@ class SolvePipeline:
             stage.name: stage for stage in (stages or SOLVE_STAGES)
         }
         self._order = [stage.name for stage in (stages or SOLVE_STAGES)]
-        self.problem_fingerprint = resolve_problem_fingerprint(problem)
+        #: Root of every stage fingerprint: type, ``C``, ``b``, ``x0``.
+        self.compile_fingerprint = resolve_compile_fingerprint(problem)
         self._artifacts: Dict[str, Artifact] = {}
         #: Stage resolutions of this pipeline, oldest first:
         #: ``{"stage", "fingerprint", "source"}``.
@@ -173,13 +196,30 @@ class SolvePipeline:
     def cache(self) -> ArtifactCache:
         return self._cache if self._cache is not None else get_default_cache()
 
+    @functools.cached_property
+    def problem_fingerprint(self) -> str:
+        """Full content hash of the problem, objective included.
+
+        Computed only when read: by a pass that reads the objective, and
+        by the ``inspect`` CLI.
+        """
+        return resolve_problem_fingerprint(self.problem)
+
     # ------------------------------------------------------------------
+    def _input_fingerprints(self, stage: Stage, upstream: List[str]) -> List[str]:
+        """Upstream fingerprints, or the compile root for a source pass,
+        plus the problem fingerprint when the pass reads the objective."""
+        inputs = upstream if stage.inputs else [self.compile_fingerprint]
+        if stage.reads_objective(self.config):
+            inputs = inputs + [self.problem_fingerprint]
+        return inputs
+
     def fingerprint(self, name: str) -> str:
         """The stage fingerprint of ``name`` (computing upstream ones)."""
         stage = self._stage(name)
-        inputs = [self.fingerprint(dep) for dep in stage.inputs]
-        if not stage.inputs:
-            inputs = [self.problem_fingerprint]
+        inputs = self._input_fingerprints(
+            stage, [self.fingerprint(dep) for dep in stage.inputs]
+        )
         return stage_fingerprint(
             name, inputs, stage.config_slice(self.config)
         )
@@ -191,9 +231,9 @@ class SolvePipeline:
             return cached
         stage = self._stage(name)
         inputs = {dep: self.artifact(dep) for dep in stage.inputs}
-        input_fps = [artifact.fingerprint for artifact in inputs.values()]
-        if not stage.inputs:
-            input_fps = [self.problem_fingerprint]
+        input_fps = self._input_fingerprints(
+            stage, [artifact.fingerprint for artifact in inputs.values()]
+        )
         fingerprint = stage_fingerprint(
             name, input_fps, stage.config_slice(self.config)
         )

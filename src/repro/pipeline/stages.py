@@ -2,21 +2,27 @@
 
 Each stage is a *pure function* of its input artifacts and a named slice
 of the solver configuration — that purity is what makes the stage
-fingerprint (input fingerprints + config slice, rooted at the problem
-fingerprint) a sound cache key:
+fingerprint (input fingerprints + config slice, rooted at the compile
+fingerprint) a sound cache key.  The compile fingerprint
+(:func:`repro.problems.io.compile_fingerprint`) hashes the problem type,
+``C``, ``b`` and the initial feasible state ``x0``: the basis pass reads
+nothing else, and no later pass reads the objective unless
+:meth:`Stage.reads_objective` says so, in which case the full problem
+fingerprint joins its inputs:
 
-========== =============================== ===============================
-stage      inputs                          config slice
-========== =============================== ===============================
-basis      problem                         —
-hamiltonian basis                          enable_simplify,
-                                           simplify_iterate, enable_augment
-prune      basis, hamiltonian              enable_prune, warm_start
-segmentation hamiltonian, prune            transitions_per_segment,
-                                           max_segment_cx
-circuit    hamiltonian, prune, segmentation —
-execution  (terminal; never cached)        shots, seeds, backend, times
-========== =============================== ===============================
+============ ================================= ===============================
+stage        inputs                            config slice
+============ ================================= ===============================
+basis        compile root (type, C, b, x0)     —
+hamiltonian  basis                             enable_simplify,
+                                               simplify_iterate, enable_augment
+prune        basis, hamiltonian (+ problem     enable_prune, warm_start
+             fingerprint when ``warm_start``)
+segmentation hamiltonian, prune                transitions_per_segment,
+                                               max_segment_cx
+circuit      hamiltonian, prune, segmentation  —
+execution    (terminal; never cached)          shots, seeds, backend, times
+============ ================================= ===============================
 
 The execution stage is deliberately *not* fingerprinted: its output
 depends on evolution times, shot sampling, and backend noise, so it runs
@@ -57,8 +63,8 @@ class Stage:
     Attributes:
         name: stage identifier (also the telemetry span suffix).
         inputs: upstream stage names whose artifact fingerprints feed
-            this stage's fingerprint (the basis stage's sole input is the
-            problem itself).
+            this stage's fingerprint (a stage without any, the basis
+            stage, is fed the compile fingerprint).
         config_fields: solver-config attributes forming the config slice;
             changing any of them invalidates this stage and everything
             downstream, and nothing else.
@@ -70,6 +76,14 @@ class Stage:
 
     def config_slice(self, config) -> Dict[str, object]:
         return {field: getattr(config, field) for field in self.config_fields}
+
+    def reads_objective(self, config) -> bool:
+        """Whether this pass reads the objective under ``config``.
+
+        The compile fingerprint omits the objective, so such a pass also
+        takes the full problem fingerprint as an input.
+        """
+        return False
 
     def compute(
         self, context, inputs: Dict[str, Artifact], fingerprint: str
@@ -162,6 +176,10 @@ class PruneStage(Stage):
     name = "prune"
     inputs = ("basis", "hamiltonian")
     config_fields = ("enable_prune", "warm_start")
+
+    def reads_objective(self, config) -> bool:
+        # Hill climbing scores candidate starts by the objective.
+        return bool(config.warm_start)
 
     def compute(self, context, inputs, fingerprint):
         config = context.config

@@ -14,7 +14,9 @@ True
 
 :func:`problem_fingerprint` derives a canonical content hash from the
 same serialization — the identity key the solve service's deduplication
-is built on (see ``docs/SERVICE.md``).
+is built on (see ``docs/SERVICE.md``).  :func:`compile_fingerprint`
+hashes only what Rasengan's compile passes read (type, ``C``, ``b`` and
+the feasible start), the root of the staged pipeline's cache keys.
 """
 
 from __future__ import annotations
@@ -35,23 +37,44 @@ from repro.problems.k_partition import KPartitionProblem
 from repro.problems.set_cover import SetCoverProblem
 
 
+#: Serialized ``type`` tag per shipped problem class.
+_TYPE_TAGS = (
+    (FacilityLocationProblem, "facility_location"),
+    (KPartitionProblem, "k_partition"),
+    (JobSchedulingProblem, "job_scheduling"),
+    (SetCoverProblem, "set_cover"),
+    (GraphColoringProblem, "graph_coloring"),
+)
+
+
+def problem_type(problem: ConstrainedBinaryProblem) -> str:
+    """The serialized ``type`` tag of a shipped problem instance."""
+    for cls, tag in _TYPE_TAGS:
+        if isinstance(problem, cls):
+            return tag
+    raise ProblemError(
+        f"cannot serialise problem type {type(problem).__name__}"
+    )
+
+
 def problem_to_dict(problem: ConstrainedBinaryProblem) -> Dict[str, Any]:
     """Serialise a shipped problem instance to a JSON-compatible dict."""
-    if isinstance(problem, FacilityLocationProblem):
+    kind = problem_type(problem)
+    if kind == "facility_location":
         return {
-            "type": "facility_location",
+            "type": kind,
             "name": problem.name,
             "open_costs": problem.open_costs.tolist(),
             "assign_costs": problem.assign_costs.tolist(),
         }
-    if isinstance(problem, KPartitionProblem):
+    if kind == "k_partition":
         # Serialise the instance's own edge tuple (captured at
         # construction) rather than re-iterating the caller's graph: the
         # edge *order* fixes the objective's floating-point summation
         # order, so this is what a bit-for-bit round-trip must preserve —
         # and it stays correct even if the graph is mutated afterwards.
         return {
-            "type": "k_partition",
+            "type": kind,
             "name": problem.name,
             "num_elements": problem.num_elements,
             "edges": [
@@ -60,33 +83,29 @@ def problem_to_dict(problem: ConstrainedBinaryProblem) -> Dict[str, Any]:
             ],
             "part_sizes": list(problem.part_sizes),
         }
-    if isinstance(problem, JobSchedulingProblem):
+    if kind == "job_scheduling":
         return {
-            "type": "job_scheduling",
+            "type": kind,
             "name": problem.name,
             "processing_times": problem.processing_times.tolist(),
             "num_machines": problem.num_machines,
         }
-    if isinstance(problem, SetCoverProblem):
+    if kind == "set_cover":
         return {
-            "type": "set_cover",
+            "type": kind,
             "name": problem.name,
             "subsets": [sorted(subset) for subset in problem.subsets],
             "costs": problem.costs.tolist(),
             "num_elements": problem.num_elements,
         }
-    if isinstance(problem, GraphColoringProblem):
-        return {
-            "type": "graph_coloring",
-            "name": problem.name,
-            "num_nodes": problem.num_nodes,
-            "edges": [[int(u), int(v)] for u, v in problem.edges],
-            "num_colors": problem.num_colors,
-            "color_costs": problem.color_costs.tolist(),
-        }
-    raise ProblemError(
-        f"cannot serialise problem type {type(problem).__name__}"
-    )
+    return {
+        "type": kind,
+        "name": problem.name,
+        "num_nodes": problem.num_nodes,
+        "edges": [[int(u), int(v)] for u, v in problem.edges],
+        "num_colors": problem.num_colors,
+        "color_costs": problem.color_costs.tolist(),
+    }
 
 
 def problem_from_dict(payload: Dict[str, Any]) -> ConstrainedBinaryProblem:
@@ -188,4 +207,32 @@ def problem_fingerprint(
         sort_keys=True,
         separators=(",", ":"),
     )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def compile_fingerprint(problem: ConstrainedBinaryProblem) -> str:
+    """SHA-256 of what Rasengan's compile passes read from a problem.
+
+    The transition Hamiltonian is built from the homogeneous basis of
+    ``C x = 0`` and the initial feasible state (paper, Sections 3–4);
+    the objective enters only when evolution times are trained and
+    scored.  So the hash covers the problem type, ``C``, ``b`` and
+    :meth:`~repro.problems.base.ConstrainedBinaryProblem.initial_feasible_solution`,
+    and instances that differ only in objective or name share it.
+
+    >>> from repro.problems import make_benchmark
+    >>> a = compile_fingerprint(make_benchmark("F1", 0))
+    >>> a == compile_fingerprint(make_benchmark("F1", 1)) and len(a) == 64
+    True
+    >>> problem_fingerprint(make_benchmark("F1", 0)) == problem_fingerprint(
+    ...     make_benchmark("F1", 1))
+    False
+    """
+    payload = {
+        "type": problem_type(problem),
+        "constraint_matrix": problem.constraint_matrix.tolist(),
+        "bound": problem.bound.tolist(),
+        "initial": [int(bit) for bit in problem.initial_feasible_solution()],
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -24,8 +24,11 @@ granularity: the service installs a shared
 :class:`~repro.pipeline.cache.ArtifactCache`, so two jobs over the same
 problem that differ only in shots, seed, or optimizer budget share every
 pre-execution pipeline artifact (basis through segmentation; a solve
-never compiles the depth-accounting circuit stage).  Each job's
-``pipeline`` timeline event records which stages were cache hits.
+never compiles the depth-accounting circuit stage).  Stage fingerprints
+are rooted at the compile fingerprint (problem type, ``C``, ``b``,
+``x0``), so jobs over instances that differ only in objective share them
+too.  Each job's ``pipeline`` timeline event records which stages were
+cache hits.
 """
 
 from __future__ import annotations

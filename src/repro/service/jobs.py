@@ -142,6 +142,7 @@ class Job:
         *,
         fingerprint: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
+        on_finish: Optional[Callable[["Job"], None]] = None,
     ) -> None:
         self.id = uuid.uuid4().hex[:12]
         self.spec = spec
@@ -165,6 +166,9 @@ class Job:
         self._lock = threading.Lock()
         self._done = threading.Event()
         self._cancel_event = threading.Event()
+        #: called once, with the job, when it turns terminal (before
+        #: waiters wake); the service's job index orders expiry by it.
+        self._on_finish = on_finish
         self.cancel_requested = False
         self.record_event("submitted", priority=spec.priority)
 
@@ -247,7 +251,7 @@ class Job:
                 self.state = JobState.CANCELLED
                 self.finished_at = self._clock()
                 self.timeline.append(self._event("finished", state="cancelled"))
-                self._done.set()
+                self._settled()
                 return True
             return self.state is JobState.CANCELLED
 
@@ -266,7 +270,7 @@ class Job:
             self.state = JobState.CANCELLED
             self.finished_at = self._clock()
             self.timeline.append(self._event("finished", state="cancelled"))
-            self._done.set()
+            self._settled()
             return True
 
     def wait_cancel(self, timeout: Optional[float]) -> bool:
@@ -290,8 +294,14 @@ class Job:
             if from_cache:
                 entry["from_cache"] = True
             self.timeline.append(entry)
-            self._done.set()
+            self._settled()
             return True
+
+    def _settled(self) -> None:
+        """Run the finish hook, then wake waiters (under ``_lock``)."""
+        if self._on_finish is not None:
+            self._on_finish(self)
+        self._done.set()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,8 +13,9 @@ HTTP API (:mod:`repro.service.http`) and direct Python embedding:
   result is bit-for-bit identical to a direct ``solve`` run with the
   same spec;
 * a process-wide pipeline artifact cache is installed for the service's
-  lifetime, so identical submissions share compile work even when dedup
-  cannot coalesce them (e.g. back-to-back rather than concurrent);
+  lifetime, so submissions over the same constraints and initial state
+  share compile work even when dedup cannot coalesce them (back-to-back
+  rather than concurrent, or a different objective);
 * :meth:`close` supports both graceful drain (finish everything queued)
   and fast shutdown (cancel queued jobs, finish only what is running) —
   either way every worker thread is joined under one shared ``timeout``
@@ -37,9 +38,11 @@ outcome to followers, and **respawns a replacement thread**, so pool
 capacity never decays and no job is left stuck in a non-terminal state.
 Terminal jobs are kept for a polling grace window (``job_ttl``) and then
 swept (``service.jobs.evicted``), bounding memory under sustained
-traffic; an optional :class:`~repro.service.journal.JobJournal` records
-every lifecycle event so a restarted service can report what a crash
-interrupted.
+traffic.  Each job reports its settlement to a finish-ordered queue, so
+the sweep on every submit pops expired or over-capacity jobs off its
+front and never scans the index.  An optional
+:class:`~repro.service.journal.JobJournal` records every lifecycle event
+so a restarted service can report what a crash interrupted.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import faults, telemetry
 
@@ -108,10 +112,11 @@ class SolverService:
             wakes as soon as the job is cancelled.
         artifact_cache_size: capacity of the process-wide pipeline
             :class:`~repro.pipeline.cache.ArtifactCache` installed while
-            the service runs — jobs over the same problem coalesce at
-            *stage* granularity (a job differing only in shots or
-            optimizer budget reuses every pre-execution artifact); ``0``
-            keeps the ambient default cache.
+            the service runs — jobs over the same constraints and
+            initial state coalesce at *stage* granularity (a job
+            differing only in objective, shots or optimizer budget
+            reuses every pre-execution artifact); ``0`` keeps the
+            ambient default cache.
         artifact_spill_dir: optional spill directory for the service's
             artifact cache, persisting artifacts across restarts.
         max_jobs: soft capacity of the in-memory job index; when
@@ -161,6 +166,9 @@ class SolverService:
         self._artifact_spill_dir = artifact_spill_dir
         self._previous_artifact_cache: Optional[ArtifactCache] = None
         self._jobs: Dict[str, Job] = {}
+        #: ``(finished_at, job)`` of every terminal job still indexed,
+        #: in finish order: the sweep's eviction order.
+        self._finished: Deque[Tuple[float, Job]] = deque()
         self._jobs_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._threads_lock = threading.Lock()
@@ -318,7 +326,9 @@ class SolverService:
         # or an invalid value (e.g. ``shots=0``) is refused at submission
         # instead of failing later or caching a bogus record.
         spec.solver_config()
-        job = Job(spec, fingerprint=job_fingerprint(spec))
+        job = Job(
+            spec, fingerprint=job_fingerprint(spec), on_finish=self._job_finished
+        )
         with self._jobs_lock:
             self._jobs[job.id] = job
         telemetry.add("service.jobs.submitted")
@@ -340,6 +350,15 @@ class SolverService:
         self.queue.put(job)
         return job
 
+    def _job_finished(self, job: Job) -> None:
+        """Finish hook of every job this service indexes.
+
+        Runs under the job's lock; nothing takes a job's lock while
+        holding ``_jobs_lock``, so the two cannot deadlock.
+        """
+        with self._jobs_lock:
+            self._finished.append((job.finished_at, job))
+
     def _sweep_jobs(self) -> int:
         """Evict terminal jobs past their grace window or over capacity.
 
@@ -347,33 +366,21 @@ class SolverService:
         still over ``max_jobs``, the oldest-finished terminal jobs go
         next.  Non-terminal jobs are never evicted — under a flood of
         live work the index may exceed ``max_jobs`` until jobs settle.
+        Jobs leave the front of the finish-ordered queue, so a sweep
+        costs O(1) per evicted job and reads no job that stays.
         """
-        now = time.monotonic()
         evicted = 0
         with self._jobs_lock:
-            if self.job_ttl is not None:
-                for job_id, job in list(self._jobs.items()):
-                    if (
-                        job.state.terminal
-                        and job.finished_at is not None
-                        and now - job.finished_at >= self.job_ttl
-                    ):
-                        del self._jobs[job_id]
-                        evicted += 1
-            if len(self._jobs) > self.max_jobs:
-                terminal = sorted(
-                    (
-                        job
-                        for job in self._jobs.values()
-                        if job.state.terminal and job.finished_at is not None
-                    ),
-                    key=lambda item: item.finished_at,
-                )
-                for job in terminal:
-                    if len(self._jobs) <= self.max_jobs:
-                        break
-                    del self._jobs[job.id]
-                    evicted += 1
+            finished = self._finished
+            ttl = self.job_ttl
+            now = time.monotonic()
+            while finished and (
+                len(self._jobs) > self.max_jobs
+                or (ttl is not None and now - finished[0][0] >= ttl)
+            ):
+                _, job = finished.popleft()
+                del self._jobs[job.id]
+                evicted += 1
         if evicted:
             telemetry.add("service.jobs.evicted", evicted)
         return evicted

@@ -270,6 +270,162 @@ def check_pipeline_cold_vs_cached(ctx: CheckContext) -> CheckOutput:
 
 
 # ----------------------------------------------------------------------
+# 2b. A compile shared across instances vs each instance's own compile
+# ----------------------------------------------------------------------
+#: Passes that read the objective when ``warm_start`` is on.
+_WARM_START_PASSES = ("prune", "segmentation")
+
+
+def _same_compile_inputs(a, b) -> bool:
+    """Whether two problems agree on type, ``C``, ``b`` and ``x0``.
+
+    Compared directly, not through any fingerprint, so the expected
+    cache behaviour does not come from the code under test.
+    """
+    return (
+        type(a) is type(b)
+        and np.array_equal(a.constraint_matrix, b.constraint_matrix)
+        and np.array_equal(a.bound, b.bound)
+        and np.array_equal(
+            a.initial_feasible_solution(), b.initial_feasible_solution()
+        )
+    )
+
+
+def _captured_solve(problem, config, cache) -> Tuple[Dict[str, Any], List]:
+    """``(record, [(stage, source)])`` of one solve through ``cache``.
+
+    A library error (set-cover instances can fail to compile) becomes
+    the record, so both paths must fail the same way.
+    """
+    from repro.core.solver import RasenganSolver
+    from repro.exceptions import ReproError
+    from repro.pipeline import capture_report
+
+    with capture_report() as stages:
+        try:
+            solver = RasenganSolver(
+                problem, config=config, artifact_cache=cache
+            )
+            try:
+                record = solver.solve().to_json_dict()
+            finally:
+                solver.engine.close()
+        except ReproError as exc:
+            record = {"error": f"{type(exc).__name__}: {exc}"}
+    return record, [(entry["stage"], entry["source"]) for entry in stages]
+
+
+def _compile_pairs(ctx: CheckContext) -> List[Tuple[str, str, int, int, bool]]:
+    """``(label, family, case A, case B, warm_start)`` per solved pair.
+
+    Two seeded cases of every registry family (the quick suite keeps
+    scales 1 and 2: an S3 or S4 pair alone takes seconds); a J1 and a J2
+    pair whose initial feasible states differ (these must not share a
+    compile); and an F1 pair with ``warm_start``, whose prune pass reads
+    the objective (it must not share past the hamiltonian pass).
+    """
+    from repro.problems.registry import BENCHMARK_IDS, make_benchmark
+
+    rng = ctx.rng("cases")
+    pairs = []
+    for family in BENCHMARK_IDS:
+        if not ctx.thorough and family[1:] not in ("1", "2"):
+            continue
+        first, second = (int(c) for c in rng.choice(1000, 2, replace=False))
+        pairs.append((family, family, first, second, False))
+    for family in ("J1", "J2"):
+        first = int(rng.integers(0, 1000))
+        start = make_benchmark(family, first).initial_feasible_solution()
+        second = first + 1
+        while np.array_equal(
+            make_benchmark(family, second).initial_feasible_solution(), start
+        ):
+            second += 1
+        pairs.append((f"{family}-other-x0", family, first, second, False))
+    first, second = (int(c) for c in rng.choice(1000, 2, replace=False))
+    pairs.append(("F1-warm-start", "F1", first, second, True))
+    return pairs
+
+
+@register_check(
+    "compile-shared-vs-own",
+    "exact solve of case B on an ArtifactCache filled by case A's solve "
+    "vs case B on a fresh cache, two seeded cases per registry family "
+    "plus J1/J2 pairs with different x0 and a warm-start pair",
+    tolerance=0.0,
+)
+def check_compile_shared_vs_own(ctx: CheckContext) -> CheckOutput:
+    """The compile root must key exactly what the compile passes read.
+
+    Path A solves case B on a fresh cache and states which passes a
+    shared cache may serve: all of them when A and B agree on type,
+    ``C``, ``b`` and ``x0`` (compared directly), none otherwise, and
+    none from the prune pass on under ``warm_start``.  Path B solves
+    case A, then case B on the same cache, and reports the sources it
+    saw.  Records (``to_json_dict``) and sources must be bit-equal, so
+    a root that shares too much changes a record or a source, and one
+    that shares too little changes a source.
+    """
+    from repro.core.solver import RasenganConfig
+    from repro.pipeline.cache import ArtifactCache
+    from repro.problems.registry import make_benchmark
+
+    payload_a: Dict[str, Any] = {"records": {}, "sources": {}}
+    payload_b: Dict[str, Any] = {"records": {}, "sources": {}}
+    shared_hits: Dict[str, int] = {}
+    for label, family, first, second, warm in _compile_pairs(ctx):
+        problem_a = make_benchmark(family, first)
+        problem_b = make_benchmark(family, second)
+        config = RasenganConfig(
+            shots=None,
+            max_iterations=6,
+            seed=ctx.derived_seed(label),
+            warm_start=warm,
+        )
+        own_record, own_sources = _captured_solve(
+            problem_b, config, ArtifactCache()
+        )
+        cache = ArtifactCache()
+        _, filled = _captured_solve(problem_a, config, cache)
+        shared_record, shared_sources = _captured_solve(
+            problem_b, config, cache
+        )
+        same = _same_compile_inputs(problem_a, problem_b)
+        filled_stages = {stage for stage, _ in filled}
+        expected = [
+            (
+                stage,
+                "cache"
+                if same
+                and stage in filled_stages
+                and not (warm and stage in _WARM_START_PASSES)
+                else "computed",
+            )
+            for stage, _ in own_sources
+        ]
+        name = f"{label}:{first}->{second}"
+        payload_a["records"][name] = own_record
+        payload_a["sources"][name] = expected
+        payload_b["records"][name] = shared_record
+        payload_b["sources"][name] = shared_sources
+        shared_hits[name] = sum(
+            source == "cache" for _, source in shared_sources
+        )
+    return CheckOutput(
+        "own-cache",
+        payload_a,
+        "shared-cache",
+        payload_b,
+        details={
+            "pairs": sorted(shared_hits),
+            "cache_hits": shared_hits,
+            "pairs_sharing": sum(1 for hits in shared_hits.values() if hits),
+        },
+    )
+
+
+# ----------------------------------------------------------------------
 # 3. Serial engine vs process-pool engine
 # ----------------------------------------------------------------------
 @register_check(

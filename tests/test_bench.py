@@ -218,6 +218,19 @@ class TestThresholdParsing:
             _parse_threshold("fast")
 
 
+@pytest.mark.parametrize("command", ["list", "run", "compare", "gate"])
+def test_every_subcommand_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert f"python -m repro bench {command}" in out
+    if command in ("compare", "gate"):
+        from repro.bench.compare import DEFAULT_THRESHOLD
+
+        assert f"(default {DEFAULT_THRESHOLD:.0%})" in out
+
+
 class TestRegistryAndRunner:
     def test_quick_suite_nonempty_and_sorted_membership(self):
         quick = workloads_for("quick")

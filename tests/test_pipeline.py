@@ -3,7 +3,10 @@
 Covers the pipeline contract end to end:
 
 * stage fingerprints are stable across pipelines, processes, and
-  ``engine.map`` worker pools, and are rooted at the problem fingerprint;
+  ``engine.map`` worker pools, and are rooted at the compile fingerprint
+  (type, ``C``, ``b``, ``x0``), so instances that differ only in
+  objective share them (the prune pass also keys by the problem under
+  ``warm_start``);
 * a config-slice change re-runs exactly the downstream stages (asserted
   via the ``pipeline.computed.*`` telemetry counters);
 * the artifact cache round-trips every artifact through its ``.npz``
@@ -34,10 +37,15 @@ from repro.pipeline import (
     choose_basis,
     compile_ansatz,
     fingerprint_report,
+    resolve_compile_fingerprint,
     resolve_problem_fingerprint,
     stage_fingerprint,
 )
-from repro.problems.io import problem_fingerprint, problem_to_dict
+from repro.problems.io import (
+    compile_fingerprint,
+    problem_fingerprint,
+    problem_to_dict,
+)
 from repro.problems.registry import make_benchmark
 
 STAGES = ["basis", "hamiltonian", "prune", "segmentation", "circuit"]
@@ -66,17 +74,104 @@ class TestStageFingerprint:
         assert stage_fingerprint("s", ["b"], {"x": 1}) != base
         assert stage_fingerprint("s", ["a"], {"x": 2}) != base
 
-    def test_rooted_at_problem_fingerprint(self):
+    def test_rooted_at_compile_fingerprint(self):
         problem = small_problem()
         config = RasenganConfig(seed=0)
         pipeline = SolvePipeline(problem, config, cache=ArtifactCache())
+        assert pipeline.compile_fingerprint == compile_fingerprint(problem)
+        assert pipeline.fingerprint("basis") == stage_fingerprint(
+            "basis", [compile_fingerprint(problem)], {}
+        )
+        # The full problem fingerprint is still there for inspection.
         assert pipeline.problem_fingerprint == problem_fingerprint(problem)
-        # A different problem shifts every stage fingerprint.
+        # Different constraints shift every stage fingerprint.
         other = SolvePipeline(
             make_benchmark("F2"), config, cache=ArtifactCache()
         )
         for name in STAGES:
             assert pipeline.fingerprint(name) != other.fingerprint(name)
+
+
+class TestCompileRoot:
+    """Stages key by (type, C, b, x0); the objective only under warm start."""
+
+    def _fingerprints(self, problem, **config):
+        pipeline = SolvePipeline(
+            problem, RasenganConfig(seed=0, **config), cache=ArtifactCache()
+        )
+        return {name: pipeline.fingerprint(name) for name in STAGES}
+
+    def test_other_objective_shares_every_stage(self):
+        a, b = make_benchmark("F1", 0), make_benchmark("F1", 1)
+        assert problem_fingerprint(a) != problem_fingerprint(b)
+        np.testing.assert_array_equal(a.constraint_matrix, b.constraint_matrix)
+        assert self._fingerprints(a) == self._fingerprints(b)
+
+    def test_other_initial_state_shifts_every_stage(self):
+        a, b = make_benchmark("J1", 0), make_benchmark("J1", 1)
+        np.testing.assert_array_equal(a.constraint_matrix, b.constraint_matrix)
+        np.testing.assert_array_equal(a.bound, b.bound)
+        assert not np.array_equal(
+            a.initial_feasible_solution(), b.initial_feasible_solution()
+        )
+        fps_a, fps_b = self._fingerprints(a), self._fingerprints(b)
+        for name in STAGES:
+            assert fps_a[name] != fps_b[name]
+
+    def test_warm_start_roots_prune_at_problem_fingerprint(self):
+        a, b = make_benchmark("F1", 0), make_benchmark("F1", 1)
+        fps_a = self._fingerprints(a, warm_start=True)
+        fps_b = self._fingerprints(b, warm_start=True)
+        for name in ("basis", "hamiltonian"):
+            assert fps_a[name] == fps_b[name]
+        for name in ("prune", "segmentation", "circuit"):
+            assert fps_a[name] != fps_b[name]
+        pipeline = SolvePipeline(
+            a, RasenganConfig(seed=0, warm_start=True), cache=ArtifactCache()
+        )
+        assert pipeline.fingerprint("prune") == stage_fingerprint(
+            "prune",
+            [
+                pipeline.fingerprint("basis"),
+                pipeline.fingerprint("hamiltonian"),
+                problem_fingerprint(a),
+            ],
+            {"enable_prune": True, "warm_start": True},
+        )
+
+    def test_problem_fingerprint_is_computed_only_when_read(self):
+        pipeline = SolvePipeline(
+            small_problem(), RasenganConfig(seed=0), cache=ArtifactCache()
+        )
+        pipeline.compile()
+        assert "problem_fingerprint" not in vars(pipeline)
+        warm = SolvePipeline(
+            small_problem(),
+            RasenganConfig(seed=0, warm_start=True),
+            cache=ArtifactCache(),
+        )
+        warm.compile()
+        assert "problem_fingerprint" in vars(warm)
+
+    def test_second_instance_solves_from_the_first_ones_compile(self):
+        cache = ArtifactCache()
+        config = RasenganConfig(shots=None, max_iterations=5, seed=4)
+        RasenganSolver(make_benchmark("F1", 0), config=config, artifact_cache=cache)
+        second = make_benchmark("F1", 1)
+        with telemetry.session() as collector:
+            shared = RasenganSolver(second, config=config, artifact_cache=cache)
+        assert collector.counter("pipeline.cache.hits") == len(SOLVE_READS)
+        own = RasenganSolver(second, config=config, artifact_cache=ArtifactCache())
+        assert shared.solve().to_json_dict() == own.solve().to_json_dict()
+
+    def test_custom_problem_keeps_per_instance_root(self):
+        first, second = _UnserializableProblem(), _UnserializableProblem()
+        assert resolve_compile_fingerprint(first) == resolve_problem_fingerprint(
+            first
+        )
+        assert resolve_compile_fingerprint(first) != resolve_compile_fingerprint(
+            second
+        )
 
 
 class TestFingerprintStability:
@@ -256,6 +351,49 @@ class TestArtifactCache:
         ).compile()
         with pytest.raises((ValueError, RuntimeError)):
             artifacts["hamiltonian"].basis[0, 0] = 99
+
+    def test_every_array_field_is_read_only_when_served(self, tmp_path):
+        """A shared or spill-loaded artifact refuses in-place writes."""
+        config = RasenganConfig(seed=0, warm_start=True)
+        SolvePipeline(
+            make_benchmark("F1", 0),
+            config,
+            cache=ArtifactCache(spill_dir=str(tmp_path)),
+        ).compile()
+        # Instance 1 shares basis and hamiltonian with instance 0, and
+        # reads them back from the spill directory.
+        reloaded = SolvePipeline(
+            make_benchmark("F1", 1),
+            config,
+            cache=ArtifactCache(spill_dir=str(tmp_path)),
+        ).compile()
+        arrays = 0
+        for artifact in reloaded.values():
+            for spec in dataclasses.fields(artifact):
+                value = getattr(artifact, spec.name)
+                if spec.type == "np.ndarray":
+                    assert isinstance(value, np.ndarray)
+                if isinstance(value, np.ndarray):
+                    arrays += 1
+                    assert not value.flags.writeable
+                    with pytest.raises(ValueError):
+                        value.flat[0] = 1
+        assert arrays == 4  # basis x2, initial bits x2
+
+    def test_artifact_copies_its_input_arrays(self):
+        from repro.pipeline import BasisArtifact
+
+        basis = np.zeros((1, 3), dtype=np.int64)
+        artifact = BasisArtifact(
+            fingerprint="0" * 64,
+            basis=basis,
+            initial_bits=[0, 1, 0],
+            num_variables=3,
+        )
+        basis[0, 0] = 5  # the caller's array stays writable and separate
+        assert artifact.basis[0, 0] == 0
+        assert isinstance(artifact.initial_bits, np.ndarray)
+        assert not artifact.initial_bits.flags.writeable
 
     def test_empty_circuit_artifact_accounting(self):
         artifact = CircuitArtifact(
@@ -524,6 +662,9 @@ class TestInspectCli:
         assert main(["inspect", "F1"]) == 0
         second = capsys.readouterr().out
         record = json.loads(first)
+        problem = make_benchmark("F1")
+        assert record["fingerprint"] == problem_fingerprint(problem)
+        assert record["compile_fingerprint"] == compile_fingerprint(problem)
         assert [s["name"] for s in record["stages"]] == STAGES
         assert all(len(s["fingerprint"]) == 64 for s in record["stages"])
         assert all(s["size_bytes"] > 0 for s in record["stages"])

@@ -225,6 +225,117 @@ class TestJobEviction:
             assert job.wait(5.0)
         service.close()
 
+    def test_submit_inspects_no_job_inside_its_ttl(self, monkeypatch):
+        """The sweep reads the finish-ordered queue, never the index."""
+        service = SolverService(workers=1, store=ResultStore(capacity=8))
+        spec = JobSpec(problem=F1, config=QUICK)
+        service.store.put(job_fingerprint(spec), {"ok": True})
+        for _ in range(service.max_jobs):
+            assert service.submit(F1, config=QUICK).from_cache
+        indexed = {id(job) for job in service.jobs()}
+        assert len(indexed) == 4096
+        touched = []
+        original = Job.__getattribute__
+
+        def spy(job, name):
+            if id(job) in indexed:
+                touched.append(name)
+            return original(job, name)
+
+        monkeypatch.setattr(Job, "__getattribute__", spy)
+        with telemetry.session() as collector:
+            job = service.submit(F1, config=QUICK)
+        monkeypatch.undo()
+        assert job.from_cache
+        assert touched == []
+        assert collector.counter("service.jobs.evicted") == 0
+        assert len(service.jobs()) == 4097
+        service.close()
+
+    @staticmethod
+    def _settle_every_path(**service_options):
+        """A started service plus one job per terminal path, in the order
+        they settled: done, store hit, failed, cancelled while pending,
+        a coalesced primary and its follower, cancelled while running."""
+        release = {seed: threading.Event() for seed in (1, 3, 4, 5)}
+
+        def runner(spec):
+            seed = spec.config["seed"]
+            if seed == 2:
+                raise ValueError("planned failure")
+            release[seed].wait(5.0)
+            if seed == 4:
+                raise ValueError("stopped after cancellation")
+            return {"seed": seed}
+
+        service = SolverService(workers=1, runner=runner, **service_options)
+        service.start()
+        order = []
+        done = service.submit(F1, config={**QUICK, "seed": 1})
+        release[1].set()
+        assert done.wait(5.0) and done.state is JobState.DONE
+        order.append(done)
+        store_hit = service.submit(F1, config={**QUICK, "seed": 1})
+        assert store_hit.from_cache
+        order.append(store_hit)
+        failed = service.submit(F1, config={**QUICK, "seed": 2})
+        assert failed.wait(5.0) and failed.state is JobState.FAILED
+        order.append(failed)
+        primary = service.submit(F1, config={**QUICK, "seed": 3})
+        follower = service.submit(F1, config={**QUICK, "seed": 3})
+        assert follower.coalesced_into == primary.id
+        pending = service.submit(F1, config={**QUICK, "seed": 5})
+        assert service.cancel(pending.id)
+        assert pending.state is JobState.CANCELLED
+        order.append(pending)
+        release[3].set()
+        assert primary.wait(5.0) and follower.wait(5.0)
+        assert follower.state is JobState.DONE
+        order.extend(sorted((primary, follower), key=lambda j: j.finished_at))
+        running = service.submit(F1, config={**QUICK, "seed": 4})
+        deadline = time.monotonic() + 5.0
+        while running.state is not JobState.RUNNING:
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.001)
+        assert not service.cancel(running.id)  # flagged, still running
+        release[4].set()
+        assert running.wait(5.0) and running.state is JobState.CANCELLED
+        order.append(running)
+        assert [job.finished_at for job in order] == sorted(
+            job.finished_at for job in order
+        )
+        return service, order
+
+    def test_capacity_evicts_in_finish_order_over_every_path(self):
+        service, order = self._settle_every_path(max_jobs=7, job_ttl=None)
+        assert len(service.jobs()) == 7
+        evicted = []
+        for _ in order:
+            before = {job.id for job in service.jobs()}
+            assert service.submit(F1, config={**QUICK, "seed": 1}).from_cache
+            evicted.extend(before - {job.id for job in service.jobs()})
+        # The first extra submit only fills the index to 8; each later
+        # one evicts exactly the oldest-finished job.
+        assert evicted == [job.id for job in order[:-1]]
+        service.close()
+
+    def test_ttl_evicts_in_finish_order_over_every_path(self, monkeypatch):
+        import repro.service.workers as workers
+
+        service, order = self._settle_every_path(job_ttl=100.0)
+        for index, job in enumerate(order):
+            now = job.finished_at + 100.0
+            monkeypatch.setattr(
+                workers, "time", type("Clock", (), {"monotonic": lambda: now})
+            )
+            service._sweep_jobs()
+            monkeypatch.undo()
+            indexed = {j.id for j in service.jobs()}
+            expired = [j for j in order if j.finished_at <= job.finished_at]
+            assert not indexed & {j.id for j in expired}
+            assert {j.id for j in order[index + 1 :] if j not in expired} <= indexed
+        service.close()
+
 
 class TestDeadlineCappedBackoff:
     def test_backoff_never_sleeps_past_remaining_deadline(self):

@@ -123,6 +123,7 @@ class TestRegistry:
         assert {
             "sparse-vs-dense",
             "pipeline-cold-vs-cached",
+            "compile-shared-vs-own",
             "engine-serial-vs-parallel",
             "result-store-reload",
             "result-json-roundtrip",
@@ -293,6 +294,7 @@ class TestMutationDetection:
             names=[
                 "result-store-reload",
                 "pipeline-cold-vs-cached",
+                "compile-shared-vs-own",
                 "key-table-vs-direct",
                 "dense-ansatz-vs-circuit",
                 "segment-step-vs-reference",
