@@ -551,6 +551,7 @@ def _service_http_setup(seed: int):
 
 
 def _service_http_teardown(ctx) -> None:
+    ctx["client"].close()
     ctx["server"].stop()
     ctx["service"].close(drain=False)
 
@@ -695,3 +696,30 @@ def _service_full_index_run(ctx, iteration: int):
     if not job.from_cache:
         raise RuntimeError(f"submit {job.id} missed the result store")
     return job
+
+
+def _service_store_hit_setup(seed: int):
+    ctx = _service_http_setup(seed)
+    ctx["config"] = dict(_SERVICE_CONFIG, seed=seed)
+    # One real solve fills the result store and opens the client's
+    # connection; every timed request after it is a store hit on it.
+    ctx["client"].solve(benchmark="F1", config=ctx["config"], wait_timeout=60.0)
+    return ctx
+
+
+@register_workload(
+    "service.http.store_hit",
+    description="HTTP POST /jobs round-trip answered from the result store "
+    "over the client's kept-open connection",
+    suites=("service", "quick"),
+    seed=305,
+    counters=("service.jobs.submitted", "service.http.connections"),
+    setup=_service_store_hit_setup,
+    teardown=_service_http_teardown,
+    inner=8,
+)
+def _service_store_hit_run(ctx, iteration: int):
+    record = ctx["client"].submit(benchmark="F1", config=ctx["config"])
+    if not record.get("from_cache"):
+        raise RuntimeError(f"request {record.get('id')} missed the result store")
+    return record

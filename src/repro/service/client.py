@@ -1,6 +1,6 @@
 """Python client for the solve service's JSON/HTTP API.
 
-Stdlib-only (``urllib``).  Typical use::
+Stdlib-only (``http.client``).  Typical use::
 
     from repro.service.client import ServiceClient
 
@@ -11,14 +11,19 @@ Stdlib-only (``urllib``).  Typical use::
 ``submit`` mirrors :meth:`repro.service.workers.SolverService.submit`;
 ``solve`` is submit-and-wait, returning the result record and raising
 :class:`ServiceClientError` when the job did not finish ``done``.
+
+Each calling thread keeps one persistent HTTP/1.1 connection, so a
+request pays for a TCP handshake and a server handler thread only when
+that thread's connection is new or was dropped.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ReproError
@@ -32,8 +37,44 @@ class ServiceClientError(ReproError):
         self.status = status
 
 
+class _Connection(http.client.HTTPConnection):
+    """A keep-alive connection that closes its socket when collected.
+
+    Connections live in a :class:`threading.local`; when a calling thread
+    ends, its connection is freed and the socket closed with it.
+    """
+
+    def __del__(self) -> None:
+        self.close()
+
+
+def _closed_by_peer(sock) -> bool:
+    """Whether an idle kept-open socket has been closed by the server.
+
+    An idle HTTP connection has nothing to read, so a readable socket
+    holds either the end-of-stream of a server-side close or bytes no
+    request asked for; neither can carry a next request.
+    """
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return True
+    return bool(readable)
+
+
 class ServiceClient:
     """Thin JSON client for one service endpoint.
+
+    Each calling thread reuses its own persistent connection.  The
+    connection is dropped after a transport error or a ``Connection:
+    close`` reply and before reuse once the server has closed it (the
+    server ends idle connections, see
+    :data:`repro.service.http.IDLE_TIMEOUT`).  A request that fails on a
+    reused connection before any response arrived is sent once more on
+    a fresh one: the server may have closed the connection while the
+    request was on its way.  Repeating it is safe because submissions
+    are content-addressed, so a repeated one coalesces with the first or
+    hits the result store.
 
     Args:
         base_url: e.g. ``http://127.0.0.1:8042`` (trailing slash ok).
@@ -43,10 +84,47 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        scheme, sep, rest = self.base_url.partition("://")
+        if not sep or scheme.lower() != "http":
+            raise ServiceClientError(
+                f"service URL must start with http://, got {base_url!r}"
+            )
+        host, slash, prefix = rest.partition("/")
+        self._host = host
+        self._prefix = slash + prefix
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connection(self, timeout: Optional[float]) -> _Connection:
+        """The calling thread's connection, its timeout set to ``timeout``."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _Connection(self._host, timeout=timeout)
+            self._local.connection = connection
+        elif connection.sock is not None and _closed_by_peer(connection.sock):
+            connection.close()
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+        return connection
+
+    def close(self) -> None:
+        """Close the calling thread's connection; a later request reconnects.
+
+        Another thread's connection closes when that thread ends.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def _request(
         self,
         method: str,
@@ -55,36 +133,51 @@ class ServiceClient:
         *,
         timeout: Optional[float] = None,
     ) -> Any:
-        url = self.base_url + path
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout if timeout is not None else self.timeout
-            ) as response:
-                body = response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode("utf-8", "replace")
+        if timeout is None:
+            timeout = self.timeout
+        for attempt in range(2):
+            connection = self._connection(timeout)
+            reused = connection.sock is not None
+            responded = False
             try:
-                message = json.loads(body).get("error", body)
-            except ValueError:
-                message = body or str(exc)
+                connection.request(
+                    method, self._prefix + path, body=body, headers=headers
+                )
+                response = connection.getresponse()
+                responded = True
+                status = response.status
+                text = response.read().decode("utf-8", "replace")
+            except (OSError, http.client.HTTPException) as exc:
+                # The connection's state is unknown (a late reply could be
+                # read as the answer to the next request), so drop it.
+                connection.close()
+                if (
+                    attempt == 0
+                    and reused
+                    and not responded
+                    and isinstance(exc, ConnectionError)
+                ):
+                    continue
+                raise ServiceClientError(f"{method} {path}: {exc}") from exc
+            break
+        if status >= 400:
+            try:
+                message = json.loads(text).get("error", text)
+            except (ValueError, AttributeError):
+                message = text or response.reason
             raise ServiceClientError(
-                f"{method} {path} -> {exc.code}: {message}", status=exc.code
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceClientError(f"{method} {path}: {exc.reason}") from exc
+                f"{method} {path} -> {status}: {message}", status=status
+            )
         try:
-            return json.loads(body)
+            return json.loads(text)
         except ValueError as exc:
             raise ServiceClientError(
-                f"{method} {path}: non-JSON response: {body[:200]!r}"
+                f"{method} {path}: non-JSON response: {text[:200]!r}"
             ) from exc
 
     # ------------------------------------------------------------------

@@ -40,26 +40,41 @@ import threading
 from typing import Dict, List, Optional
 
 from repro import telemetry
+from repro.core.solver import RasenganConfig
+from repro.problems.base import ConstrainedBinaryProblem
 from repro.problems.io import problem_fingerprint
-from repro.service.jobs import Job, JobSpec, solver_config_from_dict
+from repro.service.jobs import Job, JobSpec
 
 #: Config fields that never change the solved result (execution details).
 _NON_SEMANTIC_CONFIG = ("engine_workers",)
 
 
-def job_fingerprint(spec: JobSpec) -> str:
+def job_fingerprint(
+    spec: JobSpec,
+    *,
+    problem: Optional[ConstrainedBinaryProblem] = None,
+    config: Optional[RasenganConfig] = None,
+) -> str:
     """Canonical content hash of (problem, solver config, backend).
 
     Stable across dict ordering, numpy dtypes, and omitted-vs-explicit
     default config values; distinct for anything that can change the
     result record (including the problem name, which is embedded in it).
+
+    A caller that already holds the instance ``spec.problem`` was
+    serialised from, or the spec's validated ``config``, passes them so
+    neither is built again; the hash is the same either way.
     """
-    config = dataclasses.asdict(solver_config_from_dict(spec.config))
+    if config is None:
+        config = spec.solver_config()
+    fields = dataclasses.asdict(config)
     for field in _NON_SEMANTIC_CONFIG:
-        config.pop(field, None)
+        fields.pop(field, None)
     payload = {
-        "problem": problem_fingerprint(spec.problem),
-        "config": config,
+        "problem": problem_fingerprint(
+            spec.problem if problem is None else problem
+        ),
+        "config": fields,
         "backend": spec.backend,
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -22,16 +22,21 @@ the full schema):
   names and ``_bucket``/``_sum``/``_count`` histogram series.
   ``?format=json`` / ``?format=text`` override the header.
 
-The server is a ``ThreadingHTTPServer``: handlers run on their own
-threads and only touch the service through its thread-safe surface.
-Request handling increments ``service.http.requests`` /
-``service.http.errors`` and observes per-route/status latency into
+The server is a ``ThreadingHTTPServer``: each connection gets its own
+handler thread, which only touches the service through its thread-safe
+surface.  Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set;
+a handler whose connection sits idle for :data:`IDLE_TIMEOUT` seconds
+closes it and ends.  Each accepted connection increments
+``service.http.connections``; request handling increments
+``service.http.requests`` / ``service.http.errors`` and observes
+per-route/status latency into
 ``service.http.request_seconds.<method>.<route>.<status>``.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,6 +64,11 @@ _SUBMIT_KEYS = (
 #: Largest request body the server reads.  A registry submission is under
 #: 200 bytes; an inline problem payload is a few KiB.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a kept-open connection may sit idle before its handler closes
+#: it and the handler thread ends.  Read when a :class:`ServiceServer` is
+#: built.
+IDLE_TIMEOUT = 30.0
 
 
 class _ApiError(Exception):
@@ -99,37 +109,43 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: A reply is two writes, headers then body.  With Nagle's algorithm
+    #: the body would wait for the client's delayed ACK of the headers,
+    #: about 40 ms per request on a kept-open connection.
+    disable_nagle_algorithm = True
 
-    #: Set by ServiceServer on the handler class.
+    #: Set by ServiceServer on the handler class, with the idle
+    #: ``timeout`` (:data:`IDLE_TIMEOUT`).
     service: SolverService = None  # type: ignore[assignment]
     quiet: bool = True
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        telemetry.add("service.http.connections")
+
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.quiet:
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self._status = status
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, status: int, payload: Any) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(status, body, "application/json")
+
     def _send_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, text.encode("utf-8"), "text/plain; charset=utf-8")
 
     def _read_body(self) -> Dict[str, Any]:
         """The JSON object in the request body (``{}`` when empty).
@@ -295,6 +311,31 @@ def _route_name(path: str) -> str:
     return first or "root"
 
 
+class _ThreadingServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that knows its open connections."""
+
+    daemon_threads = True
+
+    def __init__(self, *args: Any) -> None:
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def open_connections(self) -> list:
+        with self._open_lock:
+            return list(self._open)
+
+
 class ServiceServer:
     """A threaded HTTP server bound to one :class:`SolverService`.
 
@@ -317,11 +358,10 @@ class ServiceServer:
         handler = type(
             "BoundServiceRequestHandler",
             (ServiceRequestHandler,),
-            {"service": service, "quiet": quiet},
+            {"service": service, "quiet": quiet, "timeout": IDLE_TIMEOUT},
         )
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ThreadingServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -350,9 +390,19 @@ class ServiceServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop accepting requests and join the serving thread."""
+        """Stop accepting requests and join the serving thread.
+
+        Kept-open connections are shut for reading: an idle handler then
+        reads end-of-stream and ends, and a busy one still writes its
+        reply before it does.
+        """
         self._httpd.shutdown()
         self._httpd.server_close()
+        for connection in self._httpd.open_connections():
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
         if self._thread is not None:
             self._thread.join()
             self._thread = None

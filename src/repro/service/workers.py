@@ -307,14 +307,15 @@ class SolverService:
             raise ServiceError("provide exactly one of problem= or benchmark=")
         self._sweep_jobs()
         if benchmark is not None:
-            payload = problem_to_dict(make_benchmark(benchmark, case=case))
+            instance = make_benchmark(benchmark, case=case)
         else:
-            # Round-trip through the constructor: validates the payload at
-            # submission time (not on a worker) and canonicalises it so the
-            # fingerprint is independent of the submitter's formatting.
-            payload = problem_to_dict(problem_from_dict(problem))
+            # Build the instance here: validates the payload at submission
+            # time (not on a worker), and serialising it back canonicalises
+            # it, so the fingerprint is independent of the submitter's
+            # formatting.
+            instance = problem_from_dict(problem)
         spec = JobSpec(
-            problem=payload,
+            problem=problem_to_dict(instance),
             config=dict(config or {}),
             backend=backend,
             priority=int(priority),
@@ -325,10 +326,10 @@ class SolverService:
         # Build the solver config here, not on a worker: an unknown field
         # or an invalid value (e.g. ``shots=0``) is refused at submission
         # instead of failing later or caching a bogus record.
-        spec.solver_config()
-        job = Job(
-            spec, fingerprint=job_fingerprint(spec), on_finish=self._job_finished
+        fingerprint = job_fingerprint(
+            spec, problem=instance, config=spec.solver_config()
         )
+        job = Job(spec, fingerprint=fingerprint, on_finish=self._job_finished)
         with self._jobs_lock:
             self._jobs[job.id] = job
         telemetry.add("service.jobs.submitted")

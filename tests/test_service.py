@@ -6,12 +6,13 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.exceptions import SolverError
 from repro.problems import make_benchmark
-from repro.problems.io import problem_to_dict
+from repro.problems.io import problem_fingerprint, problem_to_dict
 from repro.service import (
     Job,
     JobQueue,
@@ -142,6 +143,76 @@ class TestJobFingerprint:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ServiceError, match="shotz"):
             solver_config_from_dict({"shotz": 12})
+
+    def test_instance_hashes_like_its_payload_over_the_registry(self):
+        # submit hashes the instance it built; that must give the hash of
+        # its serialised payload, which is what older fingerprints hashed.
+        families = ("F1", "F2", "F3", "K1", "K2", "K3", "J1", "J2", "J3",
+                    "G1", "G3", "S1", "S2")
+        for family in families:
+            for case in range(1000, 1030):
+                instance = make_benchmark(family, case=case)
+                assert problem_fingerprint(instance) == problem_fingerprint(
+                    problem_to_dict(instance)
+                ), (family, case)
+
+    def test_given_instance_and_config_hash_like_the_spec(self):
+        spec = JobSpec(problem=K1, config={"seed": 7, "engine_workers": 2})
+        assert job_fingerprint(
+            spec,
+            problem=make_benchmark("K1", 0),
+            config=spec.solver_config(),
+        ) == job_fingerprint(spec)
+
+    def test_inline_payload_formatting_keeps_the_fingerprint(self):
+        service = SolverService(workers=1)
+        try:
+            service.store.put(
+                job_fingerprint(JobSpec(problem=F1, config=QUICK)),
+                {"ok": True},
+            )
+            # Reversed key order, numpy scalars for every number.
+            noisy = {
+                key: (
+                    [[np.float64(value) for value in row]
+                     for row in F1[key]]
+                    if key == "assign_costs"
+                    else [np.float64(value) for value in F1[key]]
+                    if key == "open_costs"
+                    else F1[key]
+                )
+                for key in reversed(list(F1))
+            }
+            job = service.submit(noisy, config=QUICK)
+            assert job.from_cache
+            assert job.spec.problem == F1
+        finally:
+            service.close(drain=False)
+
+    def test_store_hit_submit_builds_the_problem_once(self, monkeypatch):
+        import repro.problems.io as problems_io
+        import repro.service.workers as workers
+
+        calls = []
+
+        def counting(payload, _build=problems_io.problem_from_dict):
+            calls.append(payload)
+            return _build(payload)
+
+        service = SolverService(workers=1)
+        try:
+            service.store.put(
+                job_fingerprint(JobSpec(problem=F1, config=QUICK)),
+                {"ok": True},
+            )
+            monkeypatch.setattr(problems_io, "problem_from_dict", counting)
+            monkeypatch.setattr(workers, "problem_from_dict", counting)
+            assert service.submit(benchmark="F1", config=QUICK).from_cache
+            assert len(calls) == 0
+            assert service.submit(F1, config=QUICK).from_cache
+            assert len(calls) == 1
+        finally:
+            service.close(drain=False)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -18,6 +21,9 @@ from repro.service import (
     ServiceServer,
     SolverService,
 )
+from repro.service import client as service_client
+from repro.service import http as service_http
+from repro.service.http import ServiceRequestHandler
 from tests.trace_checkers import check_prometheus_text
 
 QUICK = {"seed": 7, "shots": None, "max_iterations": 5}
@@ -286,3 +292,178 @@ class TestJobRoutes:
         with pytest.raises(ServiceClientError):
             client.job("missing")
         assert collector.counter("service.http.errors") == before + 1
+
+
+def _connections(collector) -> float:
+    return collector.counter("service.http.connections")
+
+
+class TestKeepAlive:
+    """The transport: kept-open connections, no-delay replies, reconnects."""
+
+    def test_kept_open_connection_answers_without_delay(self, live_service):
+        # Without TCP_NODELAY each reply's body waited for the client's
+        # delayed ACK of its headers: about 45 ms per request.
+        _, server, client, _ = live_service
+        client.solve(benchmark="F1", config=QUICK, wait_timeout=60.0)
+        body = json.dumps({"benchmark": "F1", "case": 0, "config": QUICK})
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        seconds = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/jobs", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                record = json.loads(response.read())
+                seconds.append(time.perf_counter() - started)
+                assert response.status == 201
+                assert record["from_cache"] is True
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.010
+
+    def test_one_thread_opens_one_connection(self, live_service):
+        _, _, client, collector = live_service
+        before = _connections(collector)
+        for _ in range(10):
+            assert client.health()["status"] == "ok"
+        assert _connections(collector) - before == 1
+
+    def test_threads_sharing_a_client_open_one_connection_each(
+        self, live_service
+    ):
+        _, _, client, collector = live_service
+        before = _connections(collector)
+        errors = []
+
+        def caller():
+            try:
+                for _ in range(5):
+                    client.health()
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not errors
+        assert _connections(collector) - before == 2
+
+    def test_idle_connection_is_replaced_after_the_idle_timeout(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(service_http, "IDLE_TIMEOUT", 0.2)
+        with telemetry.session() as collector:
+            service = SolverService(workers=1).start()
+            server = ServiceServer(service, port=0).start()
+            try:
+                with ServiceClient(server.url, timeout=10.0) as client:
+                    client.health()
+                    sock = client._local.connection.sock
+                    assert not service_client._closed_by_peer(sock)
+                    time.sleep(0.6)
+                    # Seen before reuse, so no request is sent into it.
+                    assert service_client._closed_by_peer(sock)
+                    assert client.health()["status"] == "ok"
+                assert _connections(collector) == 2
+            finally:
+                server.stop()
+                service.close()
+
+    def test_reused_connection_closed_unnoticed_is_retried_once(
+        self, live_service, monkeypatch
+    ):
+        # The server may close a connection just after the client checked
+        # it; the request then fails before any reply and is sent again.
+        _, server, client, collector = live_service
+        client.health()
+        monkeypatch.setattr(service_client, "_closed_by_peer", lambda sock: False)
+        (server_side,) = server._httpd.open_connections()
+        server_side.shutdown(socket.SHUT_RD)  # its handler ends and closes
+        deadline = time.monotonic() + 5.0
+        while server._httpd.open_connections() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        before = _connections(collector)
+        assert client.health()["status"] == "ok"
+        assert _connections(collector) - before == 1
+
+    def test_timed_out_request_is_not_retried(self, live_service):
+        service, _, _, collector = live_service
+        release = threading.Event()
+        original_runner = service._runner
+
+        def blocking(spec):
+            release.wait(10.0)
+            return original_runner(spec)
+
+        service._runner = blocking
+        client = ServiceClient(live_service[1].url, timeout=0.3)
+        try:
+            with pytest.raises(ServiceClientError, match="timed out"):
+                client.submit(benchmark="F1", config=QUICK, wait=True)
+            assert collector.counter("service.jobs.submitted") == 1
+            # The late reply must not be read as the next request's.
+            assert client.health()["status"] == "ok"
+        finally:
+            release.set()
+            client.close()
+
+    def test_request_after_a_connection_close_reply(
+        self, live_service, monkeypatch
+    ):
+        _, _, client, collector = live_service
+        original = ServiceRequestHandler._get_healthz
+
+        def closing(self, path, query):
+            self.close_connection = True
+            original(self, path, query)
+
+        before = _connections(collector)
+        monkeypatch.setattr(ServiceRequestHandler, "_get_healthz", closing)
+        assert client.health()["status"] == "ok"
+        monkeypatch.setattr(ServiceRequestHandler, "_get_healthz", original)
+        assert client.health()["status"] == "ok"
+        assert client.health()["status"] == "ok"
+        assert _connections(collector) - before == 2
+
+    def test_request_after_an_oversized_body_reply(
+        self, live_service, monkeypatch
+    ):
+        service, _, client, _ = live_service
+        monkeypatch.setattr(service_http, "MAX_BODY_BYTES", 64)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(benchmark="F1", config={**QUICK, "pad": "x" * 200})
+        assert excinfo.value.status == 413
+        assert service.jobs() == []
+        assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("url", ["https://127.0.0.1:1", "127.0.0.1:1"])
+    def test_non_http_url_is_refused(self, url):
+        with pytest.raises(ServiceClientError, match="http://"):
+            ServiceClient(url)
+
+    def test_stop_ends_kept_open_connections(self):
+        service = SolverService(workers=1).start()
+        server = ServiceServer(service, port=0).start()
+        client = ServiceClient(server.url, timeout=10.0)
+        try:
+            assert client.health()["status"] == "ok"
+            assert len(server._httpd.open_connections()) == 1
+        finally:
+            server.stop()
+            service.close()
+        # Well inside the idle timeout, the handler has closed its end.
+        deadline = time.monotonic() + 5.0
+        while server._httpd.open_connections() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server._httpd.open_connections() == []
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.health()
+        assert excinfo.value.status is None
+        client.close()
