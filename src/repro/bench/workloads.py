@@ -551,7 +551,6 @@ def _service_http_setup(seed: int):
 
 
 def _service_http_teardown(ctx) -> None:
-    ctx["client"].close()
     ctx["server"].stop()
     ctx["service"].close(drain=False)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import select
 import threading
 import time
 from typing import Any, Dict, Optional
@@ -37,41 +36,15 @@ class ServiceClientError(ReproError):
         self.status = status
 
 
-class _Connection(http.client.HTTPConnection):
-    """A keep-alive connection that closes its socket when collected.
-
-    Connections live in a :class:`threading.local`; when a calling thread
-    ends, its connection is freed and the socket closed with it.
-    """
-
-    def __del__(self) -> None:
-        self.close()
-
-
-def _closed_by_peer(sock) -> bool:
-    """Whether an idle kept-open socket has been closed by the server.
-
-    An idle HTTP connection has nothing to read, so a readable socket
-    holds either the end-of-stream of a server-side close or bytes no
-    request asked for; neither can carry a next request.
-    """
-    try:
-        readable, _, _ = select.select([sock], [], [], 0)
-    except (OSError, ValueError):
-        return True
-    return bool(readable)
-
-
 class ServiceClient:
     """Thin JSON client for one service endpoint.
 
     Each calling thread reuses its own persistent connection.  The
-    connection is dropped after a transport error or a ``Connection:
-    close`` reply and before reuse once the server has closed it (the
-    server ends idle connections, see
-    :data:`repro.service.http.IDLE_TIMEOUT`).  A request that fails on a
+    connection is dropped after a transport error, an interrupted
+    request or a ``Connection: close`` reply.  A request that fails on a
     reused connection before any response arrived is sent once more on
-    a fresh one: the server may have closed the connection while the
+    a fresh one: the server may have closed the connection while it was
+    idle (see :data:`repro.service.http.IDLE_TIMEOUT`) or while the
     request was on its way.  Repeating it is safe because submissions
     are content-addressed, so a repeated one coalesces with the first or
     hits the result store.
@@ -97,33 +70,16 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connection(self, timeout: Optional[float]) -> _Connection:
+    def _connection(self, timeout: Optional[float]) -> http.client.HTTPConnection:
         """The calling thread's connection, its timeout set to ``timeout``."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = _Connection(self._host, timeout=timeout)
+            connection = http.client.HTTPConnection(self._host, timeout=timeout)
             self._local.connection = connection
-        elif connection.sock is not None and _closed_by_peer(connection.sock):
-            connection.close()
         connection.timeout = timeout
         if connection.sock is not None:
             connection.sock.settimeout(timeout)
         return connection
-
-    def close(self) -> None:
-        """Close the calling thread's connection; a later request reconnects.
-
-        Another thread's connection closes when that thread ends.
-        """
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _request(
         self,
@@ -152,10 +108,13 @@ class ServiceClient:
                 responded = True
                 status = response.status
                 text = response.read().decode("utf-8", "replace")
-            except (OSError, http.client.HTTPException) as exc:
+            except BaseException as exc:
                 # The connection's state is unknown (a late reply could be
-                # read as the answer to the next request), so drop it.
+                # read as the answer to the next request, an interrupted
+                # one refuses the next request), so drop it.
                 connection.close()
+                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                    raise
                 if (
                     attempt == 0
                     and reused

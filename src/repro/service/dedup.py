@@ -40,7 +40,6 @@ import threading
 from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.core.solver import RasenganConfig
 from repro.problems.base import ConstrainedBinaryProblem
 from repro.problems.io import problem_fingerprint
 from repro.service.jobs import Job, JobSpec
@@ -53,7 +52,6 @@ def job_fingerprint(
     spec: JobSpec,
     *,
     problem: Optional[ConstrainedBinaryProblem] = None,
-    config: Optional[RasenganConfig] = None,
 ) -> str:
     """Canonical content hash of (problem, solver config, backend).
 
@@ -62,19 +60,17 @@ def job_fingerprint(
     result record (including the problem name, which is embedded in it).
 
     A caller that already holds the instance ``spec.problem`` was
-    serialised from, or the spec's validated ``config``, passes them so
-    neither is built again; the hash is the same either way.
+    serialised from passes it as ``problem`` so it is not built again;
+    the hash is the same either way.
     """
-    if config is None:
-        config = spec.solver_config()
-    fields = dataclasses.asdict(config)
+    config = dataclasses.asdict(spec.solver_config())
     for field in _NON_SEMANTIC_CONFIG:
-        fields.pop(field, None)
+        config.pop(field, None)
     payload = {
         "problem": problem_fingerprint(
             spec.problem if problem is None else problem
         ),
-        "config": fields,
+        "config": config,
         "backend": spec.backend,
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -323,12 +323,11 @@ class SolverService:
             max_retries=int(max_retries),
             retry_backoff=float(retry_backoff),
         )
-        # Build the solver config here, not on a worker: an unknown field
-        # or an invalid value (e.g. ``shots=0``) is refused at submission
-        # instead of failing later or caching a bogus record.
-        fingerprint = job_fingerprint(
-            spec, problem=instance, config=spec.solver_config()
-        )
+        # The fingerprint builds the solver config here, not on a worker:
+        # an unknown field or an invalid value (e.g. ``shots=0``) is
+        # refused at submission instead of failing later or caching a
+        # bogus record.
+        fingerprint = job_fingerprint(spec, problem=instance)
         job = Job(spec, fingerprint=fingerprint, on_finish=self._job_finished)
         with self._jobs_lock:
             self._jobs[job.id] = job

@@ -156,12 +156,10 @@ class TestJobFingerprint:
                     problem_to_dict(instance)
                 ), (family, case)
 
-    def test_given_instance_and_config_hash_like_the_spec(self):
+    def test_given_instance_hashes_like_the_spec(self):
         spec = JobSpec(problem=K1, config={"seed": 7, "engine_workers": 2})
         assert job_fingerprint(
-            spec,
-            problem=make_benchmark("K1", 0),
-            config=spec.solver_config(),
+            spec, problem=make_benchmark("K1", 0)
         ) == job_fingerprint(spec)
 
     def test_inline_payload_formatting_keeps_the_fingerprint(self):

@@ -21,7 +21,6 @@ from repro.service import (
     ServiceServer,
     SolverService,
 )
-from repro.service import client as service_client
 from repro.service import http as service_http
 from repro.service.http import ServiceRequestHandler
 from tests.trace_checkers import check_prometheus_text
@@ -362,34 +361,44 @@ class TestKeepAlive:
         with telemetry.session() as collector:
             service = SolverService(workers=1).start()
             server = ServiceServer(service, port=0).start()
+            client = ServiceClient(server.url, timeout=10.0)
             try:
-                with ServiceClient(server.url, timeout=10.0) as client:
-                    client.health()
-                    sock = client._local.connection.sock
-                    assert not service_client._closed_by_peer(sock)
-                    time.sleep(0.6)
-                    # Seen before reuse, so no request is sent into it.
-                    assert service_client._closed_by_peer(sock)
-                    assert client.health()["status"] == "ok"
+                client.health()
+                time.sleep(0.6)
+                assert server._httpd.open_connections() == []
+                # The request fails on the closed connection before any
+                # reply and is sent once more on a new one.
+                assert client.health()["status"] == "ok"
+                assert client.health()["status"] == "ok"
                 assert _connections(collector) == 2
             finally:
                 server.stop()
                 service.close()
 
-    def test_reused_connection_closed_unnoticed_is_retried_once(
+    def test_interrupted_request_does_not_spoil_the_next(
         self, live_service, monkeypatch
     ):
-        # The server may close a connection just after the client checked
-        # it; the request then fails before any reply and is sent again.
-        _, server, client, collector = live_service
+        class Interrupt(BaseException):
+            pass
+
+        _, _, client, collector = live_service
         client.health()
-        monkeypatch.setattr(service_client, "_closed_by_peer", lambda sock: False)
-        (server_side,) = server._httpd.open_connections()
-        server_side.shutdown(socket.SHUT_RD)  # its handler ends and closes
-        deadline = time.monotonic() + 5.0
-        while server._httpd.open_connections() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        original = http.client.HTTPConnection.getresponse
+        interrupted = []
+
+        def interrupting(connection):
+            if not interrupted:
+                interrupted.append(True)
+                raise Interrupt
+            return original(connection)
+
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "getresponse", interrupting
+        )
         before = _connections(collector)
+        # The request was sent but its reply never read.
+        with pytest.raises(Interrupt):
+            client.health()
         assert client.health()["status"] == "ok"
         assert _connections(collector) - before == 1
 
@@ -412,7 +421,6 @@ class TestKeepAlive:
             assert client.health()["status"] == "ok"
         finally:
             release.set()
-            client.close()
 
     def test_request_after_a_connection_close_reply(
         self, live_service, monkeypatch
@@ -466,4 +474,3 @@ class TestKeepAlive:
         with pytest.raises(ServiceClientError) as excinfo:
             client.health()
         assert excinfo.value.status is None
-        client.close()
