@@ -450,7 +450,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker threads draining the job queue",
+        help="worker slots: each is a thread draining the job queue and "
+        "one execution process running its solves",
     )
     parser.add_argument(
         "--store",

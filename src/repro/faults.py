@@ -284,6 +284,15 @@ class FaultInjector:
         with self._lock:
             return self._calls.get(name, 0)
 
+    def extend_log(self, entries: Sequence[Tuple[str, str, int]]) -> None:
+        """Append injections another process made under this plan.
+
+        The solve service's execution processes fire their fault points
+        on their own copy of the injector and hand the entries back.
+        """
+        with self._lock:
+            self.log.extend(tuple(entry) for entry in entries)
+
     def fire(self, name: str) -> Optional["Directive"]:
         """Evaluate every matching rule for one call to point ``name``.
 

@@ -1,9 +1,10 @@
 """repro.service — solve-as-a-service on top of the execution engine.
 
 The repo's long-running entry point (``python -m repro serve``): many
-callers multiplex solve jobs over one process's simulator resources
-through a priority queue, a worker pool, content-addressed
-deduplication, and a result store — see ``docs/SERVICE.md``.
+callers multiplex solve jobs over one service's simulator resources
+through a priority queue, a worker pool with one execution process per
+worker, content-addressed deduplication, and a result store — see
+``docs/SERVICE.md``.
 
 Layers (each its own module, composable without the others):
 
@@ -16,7 +17,10 @@ Layers (each its own module, composable without the others):
 * :mod:`repro.service.journal` — append-only job-event journal so a
   restarted service can report what died mid-flight;
 * :mod:`repro.service.workers` — :class:`SolverService`, the worker
-  pool draining the queue through :mod:`repro.engine`;
+  pool draining the queue;
+* :mod:`repro.service.execution` — one execution process per worker
+  slot, running :func:`default_runner` through :mod:`repro.engine` off
+  the service's interpreter;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the JSON
   API and its Python client.
 

@@ -83,16 +83,23 @@ def _histogram_lines(metric: str, histogram: Histogram) -> List[str]:
     return lines
 
 
-def prometheus_text(collector: Optional[TelemetryCollector]) -> str:
-    """Render a collector as Prometheus text exposition.
+def prometheus_text(
+    collector: Optional[TelemetryCollector],
+    gauges: Optional[Dict[str, float]] = None,
+) -> str:
+    """Render a collector, plus ``gauges``, as Prometheus text exposition.
 
     ``None`` (telemetry disabled) renders just the ``telemetry_enabled``
-    gauge so scrapers always get a well-formed page.
+    gauge and ``gauges``, so scrapers always get a well-formed page.
     """
     lines: List[str] = [
         "# TYPE telemetry_enabled gauge",
         f"telemetry_enabled {0 if collector is None else 1}",
     ]
+    for name in sorted(gauges or {}):
+        metric = sanitize_metric_name(name)
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {_format_value(gauges[name])}")
     if collector is None:
         return "\n".join(lines) + "\n"
     summary_counters = collector.snapshot_counters()

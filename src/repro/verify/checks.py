@@ -2072,3 +2072,76 @@ def check_trajectory_vs_reference(ctx: CheckContext) -> CheckOutput:
         payload_b,
         details={"cases": len(payload_a), "circuits": [c[0] for c in circuits]},
     )
+
+
+# ----------------------------------------------------------------------
+# 17. Service execution processes vs the runner called in-process
+# ----------------------------------------------------------------------
+_SERVICE_FAMILIES = ("F1", "K1", "J1", "G1", "F2")
+
+
+@register_check(
+    "service-process-vs-inline",
+    "default_runner called in this process vs the same specs through a "
+    "started SolverService, whose execution processes run them",
+    tolerance=0.0,
+)
+def check_service_process_vs_inline(ctx: CheckContext) -> CheckOutput:
+    """The pipe to an execution process must not change a record.
+
+    Specs: seeded F1, K1, J1, G1 and F2 cases, each exact and at 64
+    shots, plus an F1 spec with ``engine_workers=2`` (a pool inside the
+    execution process).  Path A runs :func:`default_runner` here on a
+    private artifact cache; path B submits every spec to a two-slot
+    service with a fresh result store, so each record is a real
+    execution in a child process.
+    """
+    from repro.pipeline import ArtifactCache, configure_cache
+    from repro.problems.io import problem_to_dict
+    from repro.problems.registry import make_benchmark
+    from repro.service.jobs import JobSpec
+    from repro.service.store import ResultStore
+    from repro.service.workers import SolverService, default_runner
+
+    rng = ctx.rng("service-specs")
+    specs: Dict[str, JobSpec] = {}
+    for family in _SERVICE_FAMILIES:
+        problem = problem_to_dict(make_benchmark(family, int(rng.integers(0, 400))))
+        for shots in (None, 64):
+            config = {
+                "seed": int(rng.integers(0, 2**31)),
+                "shots": shots,
+                "max_iterations": 6,
+            }
+            specs[f"{family}/shots={shots}"] = JobSpec(problem=problem, config=config)
+    specs["F1/engine_workers=2"] = JobSpec(
+        problem=specs["F1/shots=64"].problem,
+        config=dict(specs["F1/shots=64"].config, restarts=2, engine_workers=2),
+    )
+
+    previous = configure_cache(ArtifactCache())
+    try:
+        inline = {label: default_runner(spec) for label, spec in specs.items()}
+    finally:
+        configure_cache(previous)
+
+    service = SolverService(workers=2, store=ResultStore(capacity=64)).start()
+    try:
+        jobs = {
+            label: service.submit(spec.problem, config=spec.config)
+            for label, spec in specs.items()
+        }
+        for job in jobs.values():
+            job.wait(300.0)
+    finally:
+        service.close(drain=False)
+    served = {}
+    for label, job in jobs.items():
+        served[label] = job.result if job.result is not None else {"error": job.error}
+    return CheckOutput(
+        "inline",
+        inline,
+        "execution-process",
+        served,
+        details={"specs": len(specs), "workers": 2},
+    )

@@ -6,6 +6,7 @@ import http.client
 import json
 import socket
 import statistics
+import struct
 import threading
 import time
 import urllib.request
@@ -85,6 +86,17 @@ class TestHealthAndMetrics:
         assert 'service_jobs_run_seconds_bucket{le="+Inf"}' in text
         assert "service_jobs_run_seconds_count" in text
         assert "service_http_request_seconds_post_jobs_201" in text
+
+    def test_metrics_show_the_execution_processes_peak_rss(self, live_service):
+        _, server, client, _ = live_service
+        client.solve(benchmark="F1", config=QUICK, wait_timeout=60.0)
+        assert client.metrics()["gauges"]["service.workers.peak_rss_mb"] > 0
+        with urllib.request.urlopen(
+            server.url + "/metrics?format=text", timeout=5
+        ) as response:
+            text = response.read().decode()
+        assert check_prometheus_text(text) == []
+        assert "# TYPE service_workers_peak_rss_mb gauge" in text
 
     def test_job_record_carries_flight_recorder(self, live_service):
         _, _, client, collector = live_service
@@ -474,3 +486,48 @@ class TestKeepAlive:
         with pytest.raises(ServiceClientError) as excinfo:
             client.health()
         assert excinfo.value.status is None
+
+
+class TestClientGone:
+    def test_a_client_that_hangs_up_is_counted_not_traced(self, capfd):
+        release = threading.Event()
+
+        def blocking(spec):
+            release.wait(10.0)
+            return {"arg": 0.0}
+
+        body = json.dumps(
+            {"benchmark": "F1", "config": QUICK, "wait": True}
+        ).encode()
+        with telemetry.session() as collector:
+            service = SolverService(workers=1, runner=blocking).start()
+            server = ServiceServer(service, port=0).start()
+            try:
+                sock = socket.create_connection(server.address, timeout=5)
+                sock.sendall(
+                    b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                deadline = time.monotonic() + 10.0
+                while collector.counter("service.jobs.submitted") < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                # Close with a reset, so the reply's first write fails.
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                sock.close()
+                release.set()
+                while collector.counter("service.http.client_gone") < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                # The server still answers.
+                assert ServiceClient(server.url).health()["status"] == "ok"
+            finally:
+                release.set()
+                server.stop()
+                service.close()
+        assert collector.counter("service.http.client_gone") == 1
+        assert "Traceback" not in capfd.readouterr().err

@@ -135,6 +135,7 @@ class TestRegistry:
             "simplex-inverse-vs-inv",
             "hea-prefix-vs-fresh",
             "trajectory-vs-reference",
+            "service-process-vs-inline",
         } <= names
 
     def test_unknown_name_rejected(self):
