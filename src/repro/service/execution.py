@@ -32,8 +32,9 @@ where a spawned one first spends about 1.4 s importing the program.  A
 service started in a process that already runs threads (a test, a
 benchmark, a second service), and every replacement child, is spawned.
 A child is replaced when it died, or when a job's deadline expired while
-it ran: the worker then closes its :class:`ExecutionProcess` and takes a
-fresh one, since the abandoned deadline thread still holds the old one.
+it ran: :meth:`ExecutionProcess.run` waits for the reply no longer than
+the deadline, then terminates and reaps the child and forgets it together
+with its pipe, so no later job reads a stale reply.
 Children are not daemonic, so a job with ``engine_workers >= 1`` can
 start its own process pool.  The fault injector a child uses is the
 parent's: a forked child inherits it, and the plan is sent again
@@ -50,6 +51,7 @@ import pickle
 import resource
 import signal
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults, telemetry
@@ -57,7 +59,7 @@ from repro.engine import configure_defaults, get_defaults
 from repro.faults import WorkerCrash
 from repro.pipeline import ArtifactCache, capture_report, configure_cache
 from repro.problems.io import problem_from_dict
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, JobTimeoutError
 
 
 def start_method() -> str:
@@ -95,12 +97,9 @@ def default_runner(spec: JobSpec) -> Dict[str, Any]:
 class ExecutionProcess:
     """One worker slot's execution process and its pipe.
 
-    Owned by one thread at a time: the slot's worker thread, or the
-    deadline thread it runs a job on.  The child starts on the first
-    :meth:`start` or, after a death, on the next :meth:`run`.  Once
-    :meth:`close` has been called, no child starts and :meth:`run`
-    raises, so an abandoned deadline thread never reaches a child
-    another job uses.
+    Used by one thread, the slot's worker thread; only :meth:`close` may
+    be called from another.  The child starts on the first :meth:`start`
+    or, after a death or an expired deadline, on the next :meth:`run`.
 
     Args:
         cache_size: capacity of the artifact cache the child installs
@@ -113,11 +112,10 @@ class ExecutionProcess:
         self._child: Optional[_Child] = None
         #: The parent's injector whose plan the child runs.
         self._injector: Optional[faults.FaultInjector] = None
+        #: Guards ``_child`` and ``_busy`` against a :meth:`close` from
+        #: another thread.
         self._lock = threading.Lock()
-        #: Notified when a job that found the slot closed has reaped its child.
-        self._reaped = threading.Condition(self._lock)
         self._busy = False
-        self._closed = False
         #: Largest ``ru_maxrss`` any reply reported, in MB.
         self.peak_rss_mb = 0.0
 
@@ -126,8 +124,8 @@ class ExecutionProcess:
         child = self._child
         return None if child is None else child.process.pid
 
-    def start(self) -> None:
-        """Start the child with :func:`start_method`, unless closed."""
+    def start(self) -> "_Child":
+        """Start the child with :func:`start_method`; returns it."""
         method = start_method()
         context = multiprocessing.get_context(method)
         parent_end, child_end = context.Pipe(duplex=True)
@@ -141,27 +139,34 @@ class ExecutionProcess:
         )
         process.start()
         child_end.close()
-        child = _Child(self, process, parent_end)
-        with self._lock:
-            closed = self._closed
-            if not closed:
-                self._child = child
-                # A forked child runs the injector it inherited; a
-                # spawned one has none until a request sends a plan.
-                self._injector = faults.active() if method == "fork" else None
-        if closed:  # closed while this child started
-            child.stop(graceful=False)
+        # A forked child runs the injector it inherited; a spawned one
+        # has none until a request sends a plan.
+        self._injector = faults.active() if method == "fork" else None
+        self._child = _Child(self, process, parent_end)
+        return self._child
 
-    def run(self, spec: JobSpec) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    def run(
+        self, spec: JobSpec, timeout: Optional[float] = None, *, label: str = "job"
+    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
         """Solve ``spec`` in the child; returns ``(record, stage_entries)``.
 
+        ``timeout`` bounds the wait for the reply, counted from this call
+        (``None`` waits as long as the solve takes).  On expiry the child
+        is terminated, reaped and forgotten with its pipe, and the next
+        call starts a new one.
+
         Raises:
+            JobTimeoutError: the deadline expired, with the same text as
+                :func:`~repro.service.jobs.run_with_deadline`'s.
             WorkerCrash: the child died with the job in flight (the
                 message names its exit; the next call starts a
-                replacement), or this execution process is closed.
+                replacement).
             BaseException: whatever the runner raised in the child.
         """
-        child = self._claim()
+        if timeout is not None and timeout <= 0:
+            raise JobTimeoutError(f"{label}: deadline expired before execution")
+        deadline = None if timeout is None else time.monotonic() + timeout
+        child = self._child or self.start()
         collector = telemetry.active()
         request: Dict[str, Any] = {
             "spec": spec,
@@ -171,27 +176,29 @@ class ExecutionProcess:
         if injector is not self._injector:
             request["faults"] = None if injector is None else injector.plan
             self._injector = injector
+        with self._lock:
+            self._busy = True
         try:
             child.conn.send(request)
+            # Read after the start and the send, which both take time.
+            if deadline is not None and not child.conn.poll(
+                max(0.0, deadline - time.monotonic())
+            ):
+                raise JobTimeoutError(
+                    f"{label}: exceeded wall-clock limit of {timeout:.3f}s"
+                )
             reply = child.conn.recv()
         except (EOFError, OSError):
             raise WorkerCrash(self._lost(child)) from None
+        except BaseException:
+            # The pipe may still hold this job's reply: never read it.
+            self._forget(child)
+            raise
         finally:
             with self._lock:
-                closed = self._closed
-                if not closed:
-                    self._busy = False
-            if closed:  # close() found the job in flight: reap its child
-                child.stop(graceful=False)
-                with self._reaped:
-                    self._busy = False
-                    self._reaped.notify_all()
+                self._busy = False
         if collector is not None and "telemetry" in reply:
-            parent, delta = collector.current_span(), reply["telemetry"]
-            if parent is not None and parent.end is not None:
-                # The job's deadline closed its trace: keep only metrics.
-                delta = dict(delta, spans=[])
-            collector.merge(delta, parent=parent)
+            collector.merge(reply["telemetry"], parent=collector.current_span())
         if injector is not None and reply["faults"]:
             injector.extend_log(reply["faults"])
         self.peak_rss_mb = max(self.peak_rss_mb, reply["rss_mb"])
@@ -199,27 +206,19 @@ class ExecutionProcess:
             raise reply["error"]
         return reply["record"], reply["stages"]
 
-    def _claim(self) -> "_Child":
-        """The child, started if need be, marked busy for one job."""
+    def _forget(self, child: "_Child") -> None:
+        """Terminate and reap ``child``, and drop it with its pipe."""
         with self._lock:
-            child = None if self._closed else self._child
-        if child is None:
-            self.start()
-        with self._lock:
-            if self._closed:
-                raise WorkerCrash("execution process closed before the job ran")
-            self._busy = True
-            return self._child
+            if self._child is child:
+                self._child = None
+        child.stop(graceful=False)
 
     def _lost(self, child: "_Child") -> str:
         """Forget a dead child; returns how it exited."""
         process = child.process
         process.join(5.0)
         code = process.exitcode
-        with self._lock:
-            if self._child is child:
-                self._child = None
-        child.stop(graceful=False)
+        self._forget(child)
         if code is None:
             return f"execution process {process.pid} stopped answering"
         if code < 0:
@@ -230,25 +229,22 @@ class ExecutionProcess:
         return f"execution process {process.pid} exited with code {code}"
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop the child for good.
+        """Stop the child.
 
-        An idle child gets a stop request.  A busy one (its job's
-        deadline expired, or the service closes with a job in flight) is
-        terminated, so the abandoned solve stops using CPU, and reaped by
-        the thread that waits on its reply; this call waits for that.
+        An idle child gets a stop request.  A busy one (the service
+        closes, its time budget spent, with a job in flight) is
+        terminated, so the solve stops using CPU, and reaped by the
+        thread that waits on its reply.
         """
         with self._lock:
-            self._closed = True
-            child, self._child = self._child, None
-            busy = self._busy
-        if child is None:
-            return
-        if not busy:
-            child.stop(graceful=True, timeout=timeout)
-            return
-        child.process.terminate()
-        with self._reaped:
-            self._reaped.wait_for(lambda: not self._busy, timeout)
+            child = self._child
+            if child is None:
+                return
+            if self._busy:
+                child.process.terminate()
+                return
+            self._child = None
+        child.stop(graceful=True, timeout=timeout)
 
 
 class _Child:

@@ -14,9 +14,12 @@ cancelled while queued are skipped at pop time rather than eagerly
 removed (cancellation is O(1), the heap stays intact).
 
 The deadline machinery (:class:`Deadline`, :func:`run_with_deadline`) is
-deliberately independent of the queue so the ``solve --timeout`` CLI
-path enforces wall-clock limits through the exact same code as service
-jobs.
+independent of the queue: the ``solve --timeout`` CLI path and service
+jobs with a custom runner enforce wall-clock limits through it.  A job
+on the default runner is bounded by its worker's wait for the execution
+process's reply instead
+(:meth:`~repro.service.execution.ExecutionProcess.run`), which raises
+the same :class:`JobTimeoutError` text.
 """
 
 from __future__ import annotations
@@ -408,7 +411,7 @@ class JobQueue:
 
 
 # ----------------------------------------------------------------------
-# Deadline enforcement (shared by service workers and `solve --timeout`)
+# Deadline enforcement (custom-runner service jobs and `solve --timeout`)
 # ----------------------------------------------------------------------
 class Deadline:
     """A wall-clock budget measured from construction."""
@@ -438,16 +441,19 @@ def run_with_deadline(
     *,
     label: str = "job",
 ) -> Any:
-    """Run ``fn()`` under a wall-clock limit.
+    """Run ``fn()`` under a wall-clock limit, on a thread.
 
     ``timeout=None`` calls ``fn`` inline.  Otherwise ``fn`` runs on a
     daemon thread and this call joins it for at most ``timeout`` seconds;
-    on expiry :class:`JobTimeoutError` is raised.  The solver has no
-    preemption points, so an expired computation is *abandoned* (the
-    daemon thread finishes in the background and its result is dropped) —
-    the caller gets a prompt, honest timeout instead of an unbounded
-    wait.  Exceptions raised by ``fn`` propagate unchanged.  Spans ``fn``
-    opens nest under the caller's open span, as if it ran inline.
+    on expiry :class:`JobTimeoutError` is raised.  A thread cannot be
+    stopped, so an expired computation is *abandoned* (the daemon thread
+    finishes in the background and its result is dropped) — the caller
+    gets a prompt, honest timeout instead of an unbounded wait.  Only
+    in-process work uses this (``solve --timeout``, a service's custom
+    runner); a service's execution process is waited on with the same
+    bound and then stopped instead.  Exceptions raised by ``fn``
+    propagate unchanged.  Spans ``fn`` opens nest under the caller's open
+    span, as if it ran inline.
     """
     if timeout is None:
         return fn()

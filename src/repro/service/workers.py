@@ -29,10 +29,11 @@ Failure semantics: a job attempt that raises is retried up to
 is capped at the job's remaining deadline and wakes early when
 cancellation is requested; a job whose wall-clock deadline expires fails
 immediately with a timeout error (whether it expired waiting in the
-queue or mid-execution, in which case its execution process is stopped
-and replaced); a failed or timed-out primary propagates its
-failure to every coalesced follower.  Nothing is stored under a
-fingerprint except a successful result.
+queue or mid-execution, in which case the worker stops waiting on its
+execution process, terminates it and starts a new one for the next job);
+a failed or timed-out primary propagates its failure to every coalesced
+follower.  Nothing is stored under a fingerprint except a successful
+result.
 
 Crash safety (exercised by ``tests/test_service_chaos.py`` and the
 ``worker.run`` fault point): a worker thread that dies — a
@@ -98,9 +99,10 @@ class SolverService:
         store: result store (default: a memory-only
             :class:`~repro.service.store.ResultStore`).
         runner: job execution function, run on the worker thread
-            (injectable for tests).  The default,
-            :func:`default_runner`, runs in the slot's execution
-            process instead.
+            (injectable for tests and embedding), under
+            :func:`~repro.service.jobs.run_with_deadline` when the job
+            has a ``timeout``.  The default, :func:`default_runner`,
+            runs in the slot's execution process instead.
         sleep: retry-backoff sleep function (injectable for tests).
             ``None`` — the default — uses a cancellation-aware wait that
             wakes as soon as the job is cancelled.
@@ -196,11 +198,14 @@ class SolverService:
             )
         if self._runner is default_runner:
             for _ in range(self.workers):
-                slot = self._new_slot()
+                slot = ExecutionProcess(
+                    cache_size=self._artifact_cache_size,
+                    spill_dir=self._artifact_spill_dir,
+                )
                 slot.start()
                 self._slots.append(slot)
         for index in range(self.workers):
-            self._spawn_worker(index if self._slots else None)
+            self._spawn_worker(self._slots[index] if self._slots else None)
         self._started = True
         return self
 
@@ -214,18 +219,12 @@ class SolverService:
         peak = max((slot.peak_rss_mb for slot in self._slots), default=0.0)
         return {"service.workers.peak_rss_mb": peak} if peak else {}
 
-    def _new_slot(self) -> ExecutionProcess:
-        return ExecutionProcess(
-            cache_size=self._artifact_cache_size,
-            spill_dir=self._artifact_spill_dir,
-        )
-
-    def _spawn_worker(self, slot_index: Optional[int]) -> None:
+    def _spawn_worker(self, slot: Optional[ExecutionProcess]) -> None:
         with self._threads_lock:
             index = len(self._threads)
             thread = threading.Thread(
                 target=self._worker_loop,
-                args=(slot_index,),
+                args=(slot,),
                 name=f"repro-service-worker-{index}",
                 daemon=True,
             )
@@ -449,15 +448,15 @@ class SolverService:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _worker_loop(self, slot_index: Optional[int]) -> None:
-        """Drain the queue; ``slot_index`` names this worker's entry of
-        ``_slots`` (``None`` with a custom runner)."""
+    def _worker_loop(self, slot: Optional[ExecutionProcess]) -> None:
+        """Drain the queue, solving in ``slot`` (``None`` with a custom
+        runner); stops the slot's child once the queue is closed."""
         while True:
             job = self.queue.get()
             if job is None:
+                if slot is not None:
+                    slot.close()
                 return
-            # Read per job: a timeout replaces the slot's execution process.
-            slot = None if slot_index is None else self._slots[slot_index]
             with self._idle:
                 self._running_count += 1
             crashed = False
@@ -479,7 +478,7 @@ class SolverService:
                     self._running_count -= 1
                     self._idle.notify_all()
             if crashed:
-                self._respawn(slot_index)
+                self._respawn(slot)
                 return
 
     def _settle_crash(self, job: Job, message: str) -> None:
@@ -490,7 +489,7 @@ class SolverService:
             self._journal("crashed", job, detail=message)
         self._settle_followers(job)
 
-    def _respawn(self, slot_index: Optional[int]) -> None:
+    def _respawn(self, slot: Optional[ExecutionProcess]) -> None:
         """Replace a crashed worker thread so pool capacity never decays.
 
         The replacement keeps the slot's execution process; one that
@@ -499,7 +498,7 @@ class SolverService:
         if self._closed:
             return
         telemetry.add("service.workers.respawned")
-        self._spawn_worker(slot_index)
+        self._spawn_worker(slot)
 
     def _execute(self, job: Job, slot: Optional[ExecutionProcess]) -> None:
         if job.expired():
@@ -585,16 +584,10 @@ class SolverService:
             job.attempts += 1
             try:
                 faults.point("worker.run")
-                record = run_with_deadline(
-                    lambda: self._run_captured(job, spec, slot),
-                    job.remaining(),
-                    label=job.id,
-                )
+                record = self._run(job, spec, slot)
                 failure = None
                 break
             except JobTimeoutError as exc:
-                if slot is not None:
-                    self._replace_slot(slot)
                 telemetry.add("service.jobs.timeouts")
                 failure = str(exc)
                 timed_out = True
@@ -613,38 +606,24 @@ class SolverService:
             return "cancelled", None, failure
         return "failed", None, failure
 
-    def _replace_slot(self, slot: ExecutionProcess) -> None:
-        """Close ``slot`` and give its worker a fresh execution process.
-
-        The abandoned deadline thread keeps ``slot``: closing it stops
-        the expired solve, and no later job shares its pipe.
-        """
-        fresh = self._new_slot()
-        fresh.peak_rss_mb = slot.peak_rss_mb
-        self._slots[self._slots.index(slot)] = fresh
-        slot.close()
-
-    def _run_captured(
+    def _run(
         self, job: Job, spec: JobSpec, slot: Optional[ExecutionProcess]
     ) -> Dict[str, Any]:
-        """Run the job, recording its pipeline stage resolutions.
+        """Run one attempt, recording its pipeline stage resolutions.
 
-        Runs inside :func:`run_with_deadline`'s callable so the capture
-        lives on whichever thread actually executes the runner, and the
-        execution process's telemetry merges under that thread's span.
+        The slot's execution process bounds its own wait by the job's
+        deadline; a custom runner runs under :func:`run_with_deadline`,
+        which captures the stage entries on the thread that runs it.
         The resulting ``pipeline`` timeline event shows — per stage —
         the fingerprint prefix and whether the artifact was a cache hit,
         i.e. how much of the job coalesced at stage granularity.
-
-        Only the default runner goes to the execution process, tested
-        per job: a runner set on ``_runner`` after :meth:`start` (tests
-        do this to hold a started service's workers) runs on the thread.
         """
-        if slot is not None and self._runner is default_runner:
-            record, stages = slot.run(spec)
+        if slot is not None:
+            record, stages = slot.run(spec, job.remaining(), label=job.id)
         else:
-            with capture_report() as stages:
-                record = self._runner(spec)
+            record, stages = run_with_deadline(
+                lambda: self._run_thread(spec), job.remaining(), label=job.id
+            )
         if stages:
             job.record_event(
                 "pipeline",
@@ -658,6 +637,13 @@ class SolverService:
                 ],
             )
         return record
+
+    def _run_thread(
+        self, spec: JobSpec
+    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+        with capture_report() as stages:
+            record = self._runner(spec)
+        return record, stages
 
     def _backoff(self, job: Job, attempt: int) -> bool:
         """Sleep before retry ``attempt + 1``; True when cancelled mid-sleep.

@@ -2094,7 +2094,9 @@ def check_service_process_vs_inline(ctx: CheckContext) -> CheckOutput:
     execution process).  Path A runs :func:`default_runner` here on a
     private artifact cache; path B submits every spec to a two-slot
     service with a fresh result store, so each record is a real
-    execution in a child process.
+    execution in a child process.  Every other spec is submitted with
+    ``timeout=300.0``, so timed and untimed waits on the pipe are both
+    compared.
     """
     from repro.pipeline import ArtifactCache, configure_cache
     from repro.problems.io import problem_to_dict
@@ -2128,8 +2130,12 @@ def check_service_process_vs_inline(ctx: CheckContext) -> CheckOutput:
     service = SolverService(workers=2, store=ResultStore(capacity=64)).start()
     try:
         jobs = {
-            label: service.submit(spec.problem, config=spec.config)
-            for label, spec in specs.items()
+            label: service.submit(
+                spec.problem,
+                config=spec.config,
+                timeout=300.0 if index % 2 else None,
+            )
+            for index, (label, spec) in enumerate(specs.items())
         }
         for job in jobs.values():
             job.wait(300.0)

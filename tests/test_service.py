@@ -586,8 +586,8 @@ class TestFlightRecorder:
         assert collector.summary()["spans"] == 0
 
     def test_jobs_with_a_timeout_keep_their_trace(self):
-        # The runner runs on a deadline thread; its spans still nest
-        # under the job's span instead of rooting on that thread.
+        # The execution process's spans merge under the job's span, as
+        # they do for a job without a timeout.
         collector = telemetry.TelemetryCollector()
         with telemetry.session(collector):
             service = SolverService(workers=1).start()
@@ -758,31 +758,51 @@ class TestExecutionProcesses:
         assert replacement != pid
         assert _child_pids(after.trace) == {replacement}
 
-    def test_a_job_past_its_timeout_fails_promptly_and_stops_its_child(self):
+    def test_a_job_past_its_timeout_fails_promptly_and_stops_its_child(
+        self, monkeypatch
+    ):
+        import multiprocessing
         import os
 
         from repro import faults
+        from repro.service import default_runner
 
-        service = SolverService(workers=1).start()
-        try:
-            pid = service._slots[0].pid
-            with faults.session(_stall(30.0)):
-                started = time.monotonic()
-                job = service.submit(benchmark="F1", config=QUICK, timeout=0.5)
-                assert job.wait(10.0)
-                waited = time.monotonic() - started
-            assert job.state is JobState.FAILED
-            assert "wall-clock" in job.error
-            assert waited < 5.0
-            # The child was stopped and reaped, not left solving.
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-            after = service.submit(benchmark="F1", config=QUICK)
-            assert after.wait(120.0)
-            assert after.state is JobState.DONE
-            assert service._slots[0].pid not in (None, pid)
-        finally:
-            service.close()
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        with telemetry.session():
+            service = SolverService(workers=1).start()
+            monkeypatch.setattr(threading.Thread, "start", recording_start)
+            try:
+                pid = service._slots[0].pid
+                with faults.session(_stall(30.0)):
+                    begun = time.monotonic()
+                    job = service.submit(benchmark="F1", config=QUICK, timeout=0.5)
+                    assert job.wait(10.0)
+                    waited = time.monotonic() - begun
+                assert job.state is JobState.FAILED
+                assert "wall-clock" in job.error
+                assert waited < 5.0
+                # The worker thread waited on the child itself.
+                assert f"repro-deadline-{job.id}" not in started
+                # The child was stopped and reaped, not left solving.
+                assert pid not in {c.pid for c in multiprocessing.active_children()}
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+                after = service.submit(benchmark="F1", config=QUICK)
+                assert after.wait(120.0)
+                replacement = service._slots[0].pid
+            finally:
+                service.close()
+        assert after.state is JobState.DONE
+        assert replacement not in (None, pid)
+        assert _child_pids(after.trace) == {replacement}
+        assert after.result == default_runner(after.spec)
+        assert not any(name.startswith("repro-deadline-") for name in started)
 
     def test_a_timeout_during_a_replacement_start_leaves_the_next_job_its_own_child(
         self, monkeypatch
@@ -803,11 +823,16 @@ class TestExecutionProcesses:
         before = set(multiprocessing.active_children())
         hooks = exit_hooks()
         service = SolverService(workers=1).start()
+        slot = service._slots[0]
         real_start = ExecutionProcess.start
+        starts = []
 
         def slow_start(self, *args):
+            begun = time.monotonic()
             time.sleep(0.2)
-            real_start(self, *args)
+            child = real_start(self, *args)
+            starts.append((self.pid, time.monotonic() - begun))
+            return child
 
         # Widens the few milliseconds a replacement takes to start.
         monkeypatch.setattr(ExecutionProcess, "start", slow_start)
@@ -816,36 +841,35 @@ class TestExecutionProcesses:
                 first = service.submit(benchmark="F1", config=QUICK, timeout=0.5)
                 assert first.wait(10.0)
             # The slot has no child now; this job's deadline expires while
-            # its deadline thread still starts the replacement.
-            abandoned = service._slots[0]
+            # its worker still starts the replacement.
             second = service.submit(
                 benchmark="F1", config=dict(QUICK, seed=21), timeout=0.01
             )
             assert second.wait(10.0)
             third = service.submit(benchmark="F1", config=dict(QUICK, seed=22))
             assert third.wait(120.0)
-            deadline = time.monotonic() + 30.0
-            while any(
-                thread.name == f"repro-deadline-{second.id}"
-                for thread in threading.enumerate()
-            ):
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
             current = service._slots[0]
+            pid = current.pid
         finally:
             service.close()
         assert first.state is JobState.FAILED
         assert second.state is JobState.FAILED
         assert "wall-clock" in second.error
+        # The wait was bounded by the deadline after the start, not before.
+        (second_child, second_start), (third_child, _) = starts
+        took = second.finished_at - second.submitted_at
+        assert took < second.spec.timeout + second_start + 0.5
         assert third.state is JobState.DONE
         assert third.result == default_runner(third.spec)
-        # The abandoned thread stopped the child it started, and closing
-        # the service stopped the third job's: none is left running.
+        # The second job's child was stopped, and closing the service
+        # stopped the third job's: none is left running.
         assert set(multiprocessing.active_children()) <= before
         # Each stopped child dropped its interpreter-exit hook.
         assert exit_hooks() == hooks
-        assert current is not abandoned
-        assert abandoned.pid is None
+        # One object served the slot throughout; the third job ran in a
+        # child of its own.
+        assert current is slot
+        assert pid == third_child != second_child
 
     def test_concurrent_jobs_run_in_two_processes(self):
         import os

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import socket
@@ -21,6 +22,7 @@ from repro.service import (
     ServiceClientError,
     ServiceServer,
     SolverService,
+    default_runner,
 )
 from repro.service import http as service_http
 from repro.service.http import ServiceRequestHandler
@@ -29,12 +31,12 @@ from tests.trace_checkers import check_prometheus_text
 QUICK = {"seed": 7, "shots": None, "max_iterations": 5}
 
 
-@pytest.fixture
-def live_service():
+@contextlib.contextmanager
+def _serving(runner=None):
     """A started service + HTTP server on an ephemeral port, torn down
-    after the test; yields (service, server, client, collector)."""
+    on exit; yields (service, server, client, collector)."""
     with telemetry.session() as collector:
-        service = SolverService(workers=2).start()
+        service = SolverService(workers=2, runner=runner).start()
         server = ServiceServer(service, port=0).start()
         client = ServiceClient(server.url, timeout=10.0)
         try:
@@ -42,6 +44,29 @@ def live_service():
         finally:
             server.stop()
             service.close()
+
+
+@pytest.fixture
+def live_service():
+    with _serving() as served:
+        yield served
+
+
+@pytest.fixture
+def held_service():
+    """Like ``live_service``, but each solve first waits (at most 10 s) for
+    the event yielded last: (service, server, client, collector, release)."""
+    release = threading.Event()
+
+    def held(spec):
+        release.wait(10.0)
+        return default_runner(spec)
+
+    with _serving(held) as served:
+        try:
+            yield (*served, release)
+        finally:
+            release.set()
 
 
 class TestHealthAndMetrics:
@@ -274,17 +299,9 @@ class TestJobRoutes:
         assert "max_iterations" in str(excinfo.value)
         assert service.jobs() == []
 
-    def test_cancel_route(self, live_service):
-        service, _, client, _ = live_service
-        # Block both workers so the target job stays queued.
-        release = threading.Event()
-        original_runner = service._runner
-
-        def blocking(spec):
-            release.wait(10.0)
-            return original_runner(spec)
-
-        service._runner = blocking
+    def test_cancel_route(self, held_service):
+        # Both workers hold a job, so the target job stays queued.
+        _, _, client, _, release = held_service
         blockers = [
             client.submit(benchmark="F1",
                           config={**QUICK, "seed": 100 + index})
@@ -414,25 +431,14 @@ class TestKeepAlive:
         assert client.health()["status"] == "ok"
         assert _connections(collector) - before == 1
 
-    def test_timed_out_request_is_not_retried(self, live_service):
-        service, _, _, collector = live_service
-        release = threading.Event()
-        original_runner = service._runner
-
-        def blocking(spec):
-            release.wait(10.0)
-            return original_runner(spec)
-
-        service._runner = blocking
-        client = ServiceClient(live_service[1].url, timeout=0.3)
-        try:
-            with pytest.raises(ServiceClientError, match="timed out"):
-                client.submit(benchmark="F1", config=QUICK, wait=True)
-            assert collector.counter("service.jobs.submitted") == 1
-            # The late reply must not be read as the next request's.
-            assert client.health()["status"] == "ok"
-        finally:
-            release.set()
+    def test_timed_out_request_is_not_retried(self, held_service):
+        _, server, _, collector, _ = held_service
+        client = ServiceClient(server.url, timeout=0.3)
+        with pytest.raises(ServiceClientError, match="timed out"):
+            client.submit(benchmark="F1", config=QUICK, wait=True)
+        assert collector.counter("service.jobs.submitted") == 1
+        # The late reply must not be read as the next request's.
+        assert client.health()["status"] == "ok"
 
     def test_request_after_a_connection_close_reply(
         self, live_service, monkeypatch
