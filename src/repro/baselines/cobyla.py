@@ -3,13 +3,20 @@
 Every optimizer call in this package is unconstrained (m = 0).  SciPy
 >= 1.16 runs COBYLA as ``scipy._lib.pyprima``, a Python port of PRIMA,
 whose helpers pay for the constraint machinery at m = 0.  This module
-runs the same loop and gives the same bits: every evaluated point, in
-order, and the returned ``x`` equal ``scipy.optimize.minimize(method=
-"COBYLA")``'s, and the ``cobyla-vs-scipy`` verify check holds the two
-to that.
+runs the same loop with numpy alone and gives the same bits: every
+evaluated point, in order, and the returned ``x`` equal
+``scipy.optimize.minimize(method="COBYLA")``'s on such a SciPy, and the
+``cobyla-vs-scipy`` verify check holds the two to that.  Nothing here
+imports SciPy.
 
 What runs here, and why each simplification is exact at m = 0:
 
+* **The options** (:func:`_preproc_rhoend`).  Of ``preproc``'s checks
+  only the ``rhoend``/``rhobeg`` adjustment can change a value that
+  :func:`~repro.baselines.optimizer.minimize_cobyla` passes: its
+  ``rhobeg`` is finite and positive, its ``maxfun`` at least ``n + 2``,
+  and ``eta1``, ``eta2``, ``gamma1``, ``gamma2``, ``ftarget``, ``ctol``
+  and ``cweight`` are ``cobyla()``'s valid defaults.
 * **No penalty update.**  ``getcpen`` works on copies of the simplex;
   with no constraints the predicted constraint reduction is
   ``cval[n] - max(0, ∅) = 0``, so it returns the penalty it was given.
@@ -52,7 +59,7 @@ What runs here, and why each simplification is exact at m = 0:
   ``x`` gives, above any number, and ``selectx`` takes the last of
   several NaNs.)  The driver keeps that ``(fbest, xbest)`` pair.
 * **The trust-region step** (:func:`_trstlp_unconstrained`): ``trstlp``
-  reduced to m = 0; ``trstlp`` serves the inputs outside its fast path.
+  reduced to m = 0, every branch of its ``planerot`` included.
 * **Dropped outright**: ``savehist`` and the ``fmsg``/``rhomsg``/
   ``retmsg`` printers (the history is never returned and ``iprint`` is
   0), and the front ends' bound and constraint processing.
@@ -79,16 +86,12 @@ is not), the builtin ``sum`` in :func:`_updatexfc`, ``np.linalg.inv``
 and every reduction axis.  What scipy's ``ScalarFunction`` does around
 the loss is kept too (see :class:`_Objective`).
 
-Still taken from pyprima: ``cobyla()``'s option derivation through
-``preproc``; ``trstlp`` as the kernel's fallback; and the constants.
-Importing this module raises :class:`ImportError` on a scipy without
-pyprima; :mod:`repro.baselines.optimizer` then calls scipy instead.
-
 The control flow of :func:`minimize_unconstrained` and of the helpers
 is adapted from ``cobylb``, ``initialize``, ``update``, ``geometry``,
-``evaluate``, ``checkbreak`` and ``selectx`` in PRIMA
-(https://github.com/libprima/prima), as translated to Python by
-Nickolai Belakovski for ``scipy._lib.pyprima``:
+``evaluate``, ``checkbreak``, ``selectx``, ``trustregion``, ``powalg``,
+``linalg`` and ``preproc`` in PRIMA (https://github.com/libprima/prima),
+as translated to Python by Nickolai Belakovski for ``scipy._lib.pyprima``;
+the constants and exit codes are PRIMA's ``consts`` and ``infos``:
 
     Copyright (c) Zaikun Zhang (www.zhangzk.net).  All rights reserved.
 
@@ -122,34 +125,32 @@ Nickolai Belakovski for ``scipy._lib.pyprima``:
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy._lib.pyprima.cobyla.trustregion import trstlp
-from scipy._lib.pyprima.common.consts import (
-    CWEIGHT_DEFAULT,
-    EPS,
-    ETA1_DEFAULT,
-    FUNCMAX,
-    GAMMA1_DEFAULT,
-    GAMMA2_DEFAULT,
-    MAXFUN_DIM_DEFAULT,
-    REALMAX,
-    REALMIN,
-)
-from scipy._lib.pyprima.common.infos import (
-    DAMAGING_ROUNDING,
-    INFO_DEFAULT,
-    MAXFUN_REACHED,
-    MAXTR_REACHED,
-    NAN_INF_F,
-    NAN_INF_X,
-    SMALL_TR_RADIUS,
-)
-from scipy._lib.pyprima.common.preproc import preproc
 
-from repro.baselines.optimizer import check_finite_loss
 from repro.baselines.simplex import initial_simplex_inverse
+from repro.exceptions import SolverError
+
+# PRIMA's constants (``consts``), as float64 scalars like pyprima's.
+EPS = np.finfo(float).eps
+REALMIN = np.finfo(float).tiny
+REALMAX = np.finfo(float).max
+FUNCMAX = 10.0**30
+ETA1_DEFAULT = 0.1
+GAMMA1_DEFAULT = 0.5
+GAMMA2_DEFAULT = 2
+RHOEND_DEFAULT = 1e-6
+
+# PRIMA's exit codes (``infos``) that an m = 0 run can return.
+INFO_DEFAULT = 0
+SMALL_TR_RADIUS = 0
+MAXFUN_REACHED = 3
+MAXTR_REACHED = 20
+NAN_INF_X = -1
+NAN_INF_F = -2
+DAMAGING_ROUNDING = 7
 
 #: scipy's ``tol`` default for COBYLA, passed to PRIMA as ``rhoend``.
 RHOEND = 1e-4
@@ -169,8 +170,6 @@ _CPEN = EPS
 #: ``updatepole``'s and ``updatexfc``'s tolerance on ``simi @ sim - I``.
 _ITOL = 1
 
-_NO_CONSTRAINTS = np.zeros(0)
-
 
 class CobylaRun(NamedTuple):
     """Outcome of one unconstrained COBYLA run."""
@@ -182,8 +181,23 @@ class CobylaRun(NamedTuple):
     stop: str
     #: Trust-region steps taken.
     tr_steps: int
-    #: Of those, steps served by pyprima's general ``trstlp``.
-    tr_fallbacks: int
+
+
+def check_finite_loss(value, evaluation: int) -> None:
+    """Refuse a NaN or infinite loss ``value`` from call ``evaluation``.
+
+    COBYLA cannot use such a value: PRIMA replaces NaN and ``+inf``
+    with a large finite number and runs on ``-inf`` into NaN arithmetic.
+    ``evaluation`` counts the calls made to the loss, from 1.
+
+    Raises:
+        SolverError: naming the value and the evaluation.
+    """
+    if not np.isfinite(value):
+        raise SolverError(
+            f"COBYLA loss returned {value} on evaluation {evaluation}; "
+            "the loss must be finite"
+        )
 
 
 class _Objective:
@@ -194,7 +208,7 @@ class _Objective:
     the cached value without calling the loss.  The memo matters: a
     sampled objective draws from its RNG on every call, so one extra
     call would shift every later draw.  Unlike scipy, a NaN or infinite
-    value is refused (:func:`~repro.baselines.optimizer.check_finite_loss`).
+    value is refused (:func:`check_finite_loss`).
     """
 
     __slots__ = ("loss", "x", "f", "calls")
@@ -263,48 +277,18 @@ def minimize_unconstrained(
 
     Equivalent to ``scipy.optimize.minimize(loss, x0, method="COBYLA",
     options={"maxiter": maxfun, "rhobeg": rhobeg})``, including every
-    point handed to ``loss``.
+    point handed to ``loss``, for a finite positive ``rhobeg`` and a
+    ``maxfun`` of at least ``x0.size + 2``.
     """
     objective = _Objective(loss, x0)
     num_vars = x0.size
+    rhoend = _preproc_rhoend(rhobeg, RHOEND)
     eta1 = ETA1_DEFAULT
-    (
-        _,
-        maxfun,
-        _,
-        _,
-        rhobeg,
-        rhoend,
-        _,
-        _,
-        _,
-        _,
-        eta1,
-        eta2,
-        gamma1,
-        gamma2,
-        _,
-    ) = preproc(
-        "COBYLA",
-        num_vars,
-        0,
-        maxfun,
-        max(maxfun, num_vars + 2, MAXFUN_DIM_DEFAULT * num_vars),
-        -np.inf,
-        rhobeg,
-        RHOEND,
-        num_constraints=0,
-        maxfilt=2000,
-        ctol=np.sqrt(np.finfo(float).eps),
-        cweight=CWEIGHT_DEFAULT,
-        eta1=eta1,
-        # cobyla() derives eta2 from eta1; ETA2_DEFAULT differs in the
-        # last bit (0.7 against 0.7000000000000001).
-        eta2=(eta1 + 2) / 3,
-        gamma1=GAMMA1_DEFAULT,
-        gamma2=GAMMA2_DEFAULT,
-        is_constrained=False,
-    )
+    # cobyla() derives eta2 from eta1; PRIMA's ETA2_DEFAULT differs in
+    # the last bit (0.7 against 0.7000000000000001).
+    eta2 = (eta1 + 2) / 3
+    gamma1 = GAMMA1_DEFAULT
+    gamma2 = GAMMA2_DEFAULT
     x = np.array(x0, dtype=float)
     sim, simi, fval, evaluated, info = _initxfc(
         objective, maxfun, _moderatef(objective.f), rhobeg, x
@@ -322,7 +306,7 @@ def minimize_unconstrained(
     jdrop_tr = 0
     gamma3 = float(np.maximum(1, np.minimum(0.75 * gamma2, 1.5)))
     maxtr = 10 * maxfun
-    tr_steps = tr_fallbacks = 0
+    tr_steps = 0
     # cobylb calls updatepole at the head of every trust-region step and
     # after every reduction of rho.  Only this first call can change
     # anything.  The penalty never changes (_CPEN), and from here on
@@ -339,9 +323,8 @@ def minimize_unconstrained(
         column_sq = np.add.reduce(sim[:, :num_vars] * sim[:, :num_vars], axis=0)
         adequate_geo = (column_sq <= 4 * (delta * delta)).all()
         g = (fval[:num_vars] - fval[num_vars]) @ simi
-        d, fell_back = _trstlp_unconstrained(g, delta)
+        d = _trstlp_unconstrained(g, delta)
         tr_steps += 1
-        tr_fallbacks += fell_back
         dnorm = min(delta, math.sqrt(d.dot(d)))
         shortd = dnorm <= 0.1 * rho
         preref = -d.dot(g)
@@ -427,7 +410,26 @@ def minimize_unconstrained(
         nf += 1
         if f < fbest or math.isnan(f):
             fbest, xbest = f, x
-    return _finish(xbest, objective, info, tr_steps, tr_fallbacks)
+    return _finish(xbest, objective, info, tr_steps)
+
+
+def _preproc_rhoend(rhobeg: float, rhoend: float) -> float:
+    """``preproc``'s ``rhoend`` for a finite positive ``rhobeg``.
+
+    A ``rhoend`` within ``100 * EPS`` (relative) of ``rhobeg`` becomes
+    ``rhobeg``; one above ``rhobeg`` becomes ``max(EPS, min(0.1 *
+    rhobeg, RHOEND_DEFAULT))``, with PRIMA's warning.  ``preproc``'s
+    other checks change none of the options this module passes.
+    """
+    if abs(rhobeg - rhoend) < 1.0e2 * EPS * max(abs(rhobeg), 1):
+        rhoend = rhobeg
+    if rhobeg < rhoend:
+        rhoend = max(EPS, min(0.1 * rhobeg, RHOEND_DEFAULT))
+        warnings.warn(
+            "COBYLA: Invalid RHOEND; it should be a positive number and "
+            f"RHOEND <= RHOBEG; it is set to {rhoend}"
+        )
+    return rhoend
 
 
 def _initxfc(
@@ -755,101 +757,134 @@ _EPS = float(EPS)
 _TRSTLP_MAX_ENTRY = 1e12
 
 
-def _trstlp_unconstrained(g: np.ndarray, delta: float) -> Tuple[np.ndarray, bool]:
+def _isminor(x: float, ref: float) -> bool:
+    """``isminor``: ``x`` is lost in rounding when added to ``ref``."""
+    refa = abs(ref) + 0.1 * abs(x)
+    refb = abs(ref) + 0.2 * abs(x)
+    return abs(ref) >= refa or refa >= refb
+
+
+def _planerot(x0: float, x1: float, pair: np.ndarray) -> Tuple[float, float]:
+    """``planerot([x0, x1])`` as ``(c, s)``, for finite ``x`` and ``x1 != 0``.
+
+    ``pair`` is a 2-vector to compute ``norm(x)`` in, as numpy does.
+    The NaN, infinite and all-zero branches cannot be reached here.
+    """
+    if abs(x1) <= _EPS * abs(x0):
+        return math.copysign(1.0, x0), 0.0
+    if abs(x0) <= _EPS * abs(x1):
+        return 0.0, math.copysign(1.0, x1)
+    if (
+        _ROTATION_MIN < abs(x0) < _ROTATION_MAX
+        and _ROTATION_MIN < abs(x1) < _ROTATION_MAX
+    ):
+        # np.linalg.norm(x) is sqrt(x.dot(x)); a BLAS dot may fuse the
+        # multiply-add, so r is not sqrt(x0*x0 + x1*x1) in general.
+        pair[0] = x0
+        pair[1] = x1
+        r = math.sqrt(pair.dot(pair))
+        return x0 / r, x1 / r
+    # Scaled to avoid under- and overflow; the max guards rounding.
+    if abs(x0) > abs(x1):
+        t = x1 / x0
+        u = math.copysign(max(1.0, abs(t), math.sqrt(1 + t * t)), x0)
+        return 1 / u, t / u
+    t = x0 / x1
+    u = math.copysign(max(1.0, abs(t), math.sqrt(1 + t * t)), x1)
+    return t / u, 1 / u
+
+
+def _trstlp_unconstrained(g: np.ndarray, delta: float) -> np.ndarray:
     """``trstlp(A, b, delta, g)`` for an ``n x 0`` ``A``, bit for bit.
 
-    Returns ``(d, fell_back)``; ``fell_back`` is true when pyprima's
-    general ``trstlp`` served the step.
-
     With no constraints, ``trstlp``'s stage 1 returns at once (``d = 0``,
-    ``z = I``) and stage 2 runs one iteration on the objective column:
+    ``z = I``) and stage 2 runs one iteration on the objective column
+    ``g``, scaled by ``1 / max|g|`` if an entry is above 1e12:
 
+    * A ``g`` with a NaN or an infinity gives ``d = 0``: ``inprod`` and
+      ``qradd_Rdiag``'s ``g @ I`` meet ``inf * 0`` or ``NaN``, ``isminor``
+      zeroes an infinite entry, no Givens step runs, and no column is
+      added, so ``trstlp`` stops before it moves ``d``.
     * ``qradd_Rdiag(g, I, ., 0)`` sets ``cq = g @ I``, which is ``g``
-      exactly (each sum has one nonzero term), and drops no entry
-      (``isminor(x, |x|)`` holds only at ``x = 0``).  It then sweeps
-      Givens rotations bottom-up: for k = n-2, ..., 0,
+      exactly for a finite ``g`` (each sum has one nonzero term), with
+      the entries that ``isminor(g_i, |g_i|)`` finds (zeros, and the
+      tiniest subnormals) set to 0.  It then sweeps Givens rotations
+      bottom-up: for k = n-2, ..., 0, if ``cq[k+1] != 0``,
       ``G = planerot(cq[k:k+2])``, ``Q[:, [k, k+1]] @= G.T`` and
       ``cq[k] = hypot(cq[k], cq[k+1])``.  Only ``v = Q[:, 0]`` and
-      ``zdota = cq[0]`` are used afterwards.  Column k is still
-      ``e_k`` when step k reaches it, so every entry of the 2 x 2
-      product has one exactly-zero term and ``v *= s; v[k] = c`` gives
-      the same bits.
+      ``zdota = cq[0]`` are used afterwards.  Column k is still ``e_k``
+      when step k reaches it, so every entry of the 2 x 2 product has
+      one exactly-zero term and ``v *= s; v[k] = c`` gives the same
+      bits; a skipped step leaves column k as ``e_k`` and ``cq[k]`` as
+      it was, so the sweep goes on from ``v = e_k``.
+    * The column is added only if ``|zdota| > EPS**2`` and not
+      ``isminor(zdota, |g_0|)``; otherwise ``trstlp`` returns ``d = 0``.
     * ``sdirn = -1/zdota * v``; from ``d = 0`` the step to the
       trust-region boundary is ``step * sdirn``, with ``sd = 0`` in the
       step-length formula.
     * The multiplier fraction is then 1, so ``d`` becomes that step
       (see the comment at the return).
-
-    The fast path takes the direct ``planerot`` branch at every step;
-    any other input falls back to pyprima.  An all-zero ``g`` adds no
-    column (``nact`` stays 0) and ``trstlp`` returns ``d = 0``.
     """
     num_vars = g.size
     magnitude = np.abs(g)
-    if not magnitude.any():
-        return np.zeros(num_vars), False
-    # A NaN fails both tests; an infinity or a rescaled g fails the second.
-    low, high = np.minimum.reduce(magnitude), np.maximum.reduce(magnitude)
-    if not (low > _ROTATION_MIN and high <= _TRSTLP_MAX_ENTRY):
-        return _trstlp_general(g, delta), True
+    top = np.maximum.reduce(magnitude)
+    # A NaN or an infinity fails the first test; trstlp's stage 2
+    # returns at once when 0 >= delta**2.
+    if not (top <= REALMAX and delta * delta > 0):
+        return np.zeros(num_vars)
+    if top > _TRSTLP_MAX_ENTRY:
+        g = g * max(2 * REALMIN, 1 / top)
+        magnitude = np.abs(g)
     entries = g.tolist()
+    # qradd_Rdiag's cqa = |g| @ I; only cqa[0] is read after the filter.
+    first = abs(entries[0])
+    if not np.minimum.reduce(magnitude) > REALMIN:
+        # Only a zero or a subnormal can be minor to its own magnitude.
+        entries = [0.0 if _isminor(x, abs(x)) else x for x in entries]
     v = np.zeros(num_vars)
     v[-1] = 1.0
     pair = np.empty(2)
     zdota = entries[-1]
     for k in range(num_vars - 2, -1, -1):
         gk = entries[k]
-        # planerot's ratio branches (c or s set to exactly 0 or ±1).
-        if abs(zdota) <= _EPS * abs(gk) or abs(gk) <= _EPS * abs(zdota):
-            return _trstlp_general(g, delta), True
-        # planerot's r = norm(x) is sqrt(x.dot(x)); a BLAS dot may fuse
-        # the multiply-add, so r is not sqrt(a*a + b*b) in general.
-        pair[0] = gk
-        pair[1] = zdota
-        r = math.sqrt(pair.dot(pair))
-        v[k + 1:] *= zdota / r
-        v[k] = gk / r
+        if zdota == 0:
+            # qradd_Rdiag skips the rotation: column k stays e_k.
+            v[k + 1:] = 0.0
+            v[k] = 1.0
+            zdota = gk
+            continue
+        c, s = _planerot(gk, zdota, pair)
+        v[k + 1:] *= s
+        v[k] = c
         # libm's hypot, which math.hypot is not.
         zdota = float(np.hypot(gk, zdota))
-        if not _ROTATION_MIN < zdota < _ROTATION_MAX:
-            return _trstlp_general(g, delta), True
-    # qradd_Rdiag adds the column only if |zdota| > EPS**2 (zdota = g[0]
-    # may be negative at n = 1).
-    if not abs(zdota) > EPS**2:
-        return _trstlp_general(g, delta), True
+    if not (abs(zdota) > _EPS * _EPS and not _isminor(zdota, first)):
+        return np.zeros(num_vars)
     sdirn = -1 / zdota * v
     # trstlp's step to the boundary from d = 0, where sd = sdirn @ d = 0;
     # each early return is one of its breaks, taken before d moves.
     dd = delta * delta
     ss = float(sdirn.dot(sdirn))
-    if dd <= 0 or ss <= _EPS * delta * delta:
-        return np.zeros(num_vars), False
+    if ss <= _EPS * delta * delta:
+        return np.zeros(num_vars)
     step = math.sqrt(ss * dd) / ss
     if not 0 < step < math.inf:
-        return np.zeros(num_vars), False
+        return np.zeros(num_vars)
     # trstlp then solves lstsq(g, d_new) for the multiplier vmultd, which
     # stage 2 clamps to max(0, -lstsq) >= 0.  The step fraction takes
     # only entries with vmultd < 0, so it is 1 whatever lstsq returns,
-    # and d = 0*0 + 1*d_new.  The multiplier is read again only by a
-    # finiteness test, which fails only if |lstsq| overflows; here
-    # |lstsq| ~ ||d_new|| / ||g|| < sqrt(REALMAX) / sqrt(REALMIN), since
-    # delta**2 is finite and every |g_i| > sqrt(REALMIN).  So lstsq is
-    # dropped.  Adding 0.0 turns -0.0 into +0.0, as trstlp's 0 + d does.
-    return step * sdirn + 0.0, False
-
-
-def _trstlp_general(g: np.ndarray, delta: float) -> np.ndarray:
-    """pyprima's ``trstlp`` with no constraints."""
-    return trstlp(np.zeros((g.size, 0)), _NO_CONSTRAINTS, delta, g)
+    # and d = 0*0 + 1*d_new.  The multiplier and d are read again only
+    # by a finiteness test.  |lstsq| ~ ||d_new|| / ||g|| cannot overflow:
+    # ||d_new|| ~ delta < sqrt(REALMAX) (delta**2 is finite, or ss <=
+    # EPS * delta**2 broke above), and ||g|| >= |zdota| > EPS**2.  So
+    # lstsq is dropped.  Adding 0.0 turns -0.0 into +0.0, as trstlp's
+    # 0 + d does.
+    return step * sdirn + 0.0
 
 
 def _finish(
-    x: np.ndarray,
-    objective: _Objective,
-    info: int,
-    tr_steps: int = 0,
-    tr_fallbacks: int = 0,
+    x: np.ndarray, objective: _Objective, info: int, tr_steps: int = 0
 ) -> CobylaRun:
     """The run's outcome; ``x`` is copied, as pyprima copies it from its filter."""
     stop = STOP_REASONS.get(info, f"status_{info}")
-    return CobylaRun(x.copy(), objective.calls, stop, tr_steps, tr_fallbacks)
+    return CobylaRun(x.copy(), objective.calls, stop, tr_steps)

@@ -11,7 +11,8 @@ Three layers are covered, mirroring the execution architecture
 
 * ``micro.*`` — single hot paths: dense vs sparse statevector apply,
   Barenco decomposition, cold/warm pipeline passes,
-  ``engine.run_batch``, the COBYLA optimizer.
+  ``engine.run_batch``, the COBYLA optimizer, and the CLI's import in a
+  fresh interpreter.
 * ``macro.*`` — end-to-end :class:`~repro.core.solver.RasenganSolver`
   solves on the five benchmark families (F1/K1/J1/S1/G1) plus one
   baseline per family through the shared experiment runner.
@@ -391,6 +392,53 @@ register_workload(
     counters=("optimizer.evaluations",),
     setup=_cobyla_setup(3, 40),
 )(_cobyla_run)
+
+
+#: What the import workload's child runs: the CLI's import, then a count
+#: of the SciPy modules it loaded (0: no process on the solve path
+#: imports SciPy).
+_IMPORT_CLI_SCRIPT = (
+    "import sys, repro.experiments.cli; "
+    "print(sum(name.split('.')[0] == 'scipy' for name in sys.modules))"
+)
+
+
+def _import_cli_setup(seed: int):
+    import os
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {"command": [sys.executable, "-c", _IMPORT_CLI_SCRIPT], "env": env}
+
+
+@register_workload(
+    "micro.import.cli",
+    description="python -c 'import repro.experiments.cli' in a fresh "
+    "interpreter: the start-up every CLI, serve and execution process pays",
+    suites=("micro", "quick"),
+    seed=111,
+    counters=("import.scipy_modules",),
+    setup=_import_cli_setup,
+)
+def _import_cli_run(ctx, iteration: int):
+    import subprocess
+
+    from repro import telemetry
+
+    done = subprocess.run(
+        ctx["command"],
+        env=ctx["env"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    telemetry.add("import.scipy_modules", int(done.stdout))
 
 
 def _hea_simplex_setup(seed: int):

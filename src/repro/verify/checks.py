@@ -1064,8 +1064,15 @@ def check_cobyla_vs_scipy(ctx: CheckContext) -> CheckOutput:
     ``x`` must agree bit for bit.  Objectives: seeded Rasengan (exact
     and 1024 shots), HEA, P-QAOA (256 shots) and Choco-Q, plus
     quadratic and RNG-consuming noisy objectives of dimension 1 to 130.
-    On a scipy without pyprima both paths are scipy.
+    Skipped on a scipy without pyprima (< 1.16), whose COBYLA is not
+    PRIMA's and so gives other bits.
     """
+    try:
+        import scipy._lib.pyprima  # noqa: F401
+    except ImportError as error:
+        raise CheckSkipped(
+            f"scipy without pyprima, so its COBYLA is not PRIMA's: {error}"
+        ) from error
     import scipy
     from scipy import optimize as sciopt
 
@@ -1094,13 +1101,7 @@ def check_cobyla_vs_scipy(ctx: CheckContext) -> CheckOutput:
         payload_a,
         "minimize-cobyla",
         payload_b,
-        details={
-            "budgets": budgets,
-            "path-b": (
-                "in-repo" if optimizer._unconstrained() is not None else "scipy"
-            ),
-            "scipy": scipy.__version__,
-        },
+        details={"budgets": budgets, "scipy": scipy.__version__},
     )
 
 
@@ -1122,24 +1123,45 @@ def _trstlp_cases(ctx: CheckContext) -> List[Tuple[str, np.ndarray, float]]:
             cases.append((f"n{n}/1e{exponent}", g, float(rng.uniform(0.01, 1.0))))
     rng = ctx.rng("trstlp-edges")
     base = rng.normal(size=8)
-    partly_zero = base.copy()
-    partly_zero[[2, 5]] = 0.0
-    # |g_3| <= EPS * ||g_4:||: planerot's c = 0 branch at k = 3.
-    tiny_ratio = base.copy()
-    tiny_ratio[3] = 0.5 * eps * np.linalg.norm(base[4:])
-    above_rescale = base.copy()
-    above_rescale[1] = 2e12  # trstlp rescales g above 1e12
-    subnormal = base.copy()
-    subnormal[6] = 5e-324
+    root_realmin = np.sqrt(np.finfo(float).tiny)
+
+    def with_entries(entries):
+        g = base.copy()
+        for index, value in entries.items():
+            g[index] = value
+        return g
+
     edges = {
         "zero/8": np.zeros(8),
-        "partly-zero/8": partly_zero,
-        "tiny-ratio/8": tiny_ratio,
-        "above-1e12/8": above_rescale,
-        "subnormal/8": subnormal,
+        # Exact zeros: planerot's x[0] == 0 branch and skipped rotations.
+        "partly-zero/8": with_entries({2: 0.0, 5: 0.0}),
+        # A zero last entry: the sweep starts on a skipped rotation.
+        "zero-last/8": with_entries({7: 0.0}),
+        "zero-first/3": np.array([0.0, -2.1e-13, 38.6]),
+        "zero-first-negative/3": np.array([0.0, -39.7, -1.13]),
+        # |g_3| <= EPS * ||g_4:||: planerot's c = 0 branch at k = 3.
+        "tiny-ratio/8": with_entries({3: 0.5 * eps * np.linalg.norm(base[4:])}),
+        # |a| <= EPS * |b| within one pair, either way round.
+        "eps-ratio/2": np.array([1.0, 0.5 * eps]),
+        "eps-ratio-reversed/2": np.array([-0.5 * eps, 1.0]),
+        "eps-ratio-equal/2": np.array([eps, 1.0]),
+        "eps-ratio-equal-reversed/2": np.array([1.0, eps]),
+        # Below sqrt(REALMIN): planerot's scaled branches.
+        "below-sqrt-realmin/3": root_realmin * np.array([0.5, -0.3, 0.7]),
+        "below-sqrt-realmin/8": with_entries({4: 0.5 * root_realmin}),
+        # trstlp rescales g above 1e12.
+        "above-1e12/8": with_entries({1: 2e12}),
+        "above-1e12-tiny-rest/4": np.array([3e14, 1e-150, -2e-3, 5.0]),
+        "above-1e300/8": with_entries({5: -1e300}),
+        "subnormal/8": with_entries({6: 5e-324}),
+        "nan/8": with_entries({0: np.nan}),
+        "inf/8": with_entries({3: np.inf}),
+        # The rescale by 1/inf leaves the infinity and shrinks the rest.
+        "inf-and-1e300/3": np.array([0.0, 1e300, np.inf]),
         # ||sdirn||**2 = 1/||g||**2 <= EPS * delta**2: trstlp returns d = 0.
         "large/8": base * 1e10,
         "negative/1": np.array([-abs(rng.normal())]),
+        "tiny/1": np.array([1e-40]),
     }
     for label, g in edges.items():
         cases.append((label, g, float(rng.uniform(0.01, 1.0))))
@@ -1149,7 +1171,7 @@ def _trstlp_cases(ctx: CheckContext) -> List[Tuple[str, np.ndarray, float]]:
 @register_check(
     "trstlp-vs-pyprima",
     "pyprima's trstlp with no constraints vs the one-sweep m = 0 "
-    "trust-region kernel, on seeded and edge-case gradients",
+    "trust-region kernel, on seeded gradients and one per planerot branch",
     suites=("full",),
     tolerance=0.0,
 )
@@ -1157,10 +1179,10 @@ def check_trstlp_vs_pyprima(ctx: CheckContext) -> CheckOutput:
     """The m = 0 trust-region kernel must return pyprima's step exactly.
 
     Path A calls ``trstlp`` with an ``n x 0`` constraint matrix; path B
-    calls ``_trstlp_unconstrained``, which falls back to ``trstlp``
-    outside its fast path (the details count those cases).  Full suite
-    only: on a scipy without pyprima there is nothing to compare, and
-    every quick check must run everywhere.
+    calls ``_trstlp_unconstrained``.  The edge cases reach every branch
+    of ``planerot``, the rescale of a gradient above 1e12, a NaN or
+    infinite gradient and an all-zero one.  Full suite only: on a scipy
+    without pyprima there is nothing to compare.
     """
     try:
         from scipy._lib.pyprima.cobyla.trustregion import trstlp
@@ -1171,18 +1193,17 @@ def check_trstlp_vs_pyprima(ctx: CheckContext) -> CheckOutput:
 
     payload_a: Dict[str, Any] = {}
     payload_b: Dict[str, Any] = {}
-    fallbacks: List[str] = []
     for label, g, delta in _trstlp_cases(ctx):
-        payload_a[label] = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
-        payload_b[label], fell_back = _trstlp_unconstrained(g, delta)
-        if fell_back:
-            fallbacks.append(label)
+        # pyprima meets inf * 0 on a non-finite g, and warns.
+        with np.errstate(all="ignore"):
+            payload_a[label] = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
+        payload_b[label] = _trstlp_unconstrained(g, delta)
     return CheckOutput(
         "pyprima-trstlp",
         payload_a,
         "m0-kernel",
         payload_b,
-        details={"cases": len(payload_a), "fallbacks": fallbacks},
+        details={"cases": len(payload_a)},
     )
 
 

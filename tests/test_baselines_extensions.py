@@ -1,20 +1,32 @@
 """The COBYLA driver: its m = 0 kernels against SciPy and pyprima."""
 
-import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize as sciopt
 
-from repro.baselines import optimizer
 from repro.baselines.optimizer import minimize_cobyla
 from repro.exceptions import SolverError
 
+#: Why a comparison with SciPy's COBYLA skips on a SciPy before 1.16.
+_NO_PYPRIMA = (
+    "SciPy without scipy._lib.pyprima (< 1.16): its COBYLA is not PRIMA's, "
+    "so it is no reference for the in-repo loop"
+)
+
+
+def _scipy_minimize():
+    """``scipy.optimize.minimize``, when its COBYLA is PRIMA's."""
+    pytest.importorskip("scipy._lib.pyprima", reason=_NO_PYPRIMA)
+    from scipy.optimize import minimize
+
+    return minimize
+
 
 def _trstlp_edge_cases():
-    """``(id, g, falls_back)``: the m = 0 kernel's edge inputs."""
+    """``(id, g)``: the m = 0 kernel's edge inputs, one per ``trstlp`` branch."""
     eps = np.finfo(float).eps
+    tiny = np.sqrt(np.finfo(float).tiny)
     base = np.random.default_rng(5).normal(size=8)
 
     def with_entry(index, value):
@@ -23,17 +35,37 @@ def _trstlp_edge_cases():
         return g
 
     return [
-        ("zero", np.zeros(8), False),
-        ("zero-n1", np.zeros(1), False),
-        ("partly-zero", with_entry(2, 0.0), True),
+        ("zero", np.zeros(8)),
+        ("zero-n1", np.zeros(1)),
+        # An exact zero: planerot's x[0] == 0 branch, and a skipped
+        # rotation below it.
+        ("partly-zero", with_entry(2, 0.0)),
+        ("zero-last", with_entry(7, 0.0)),
+        ("zero-first", np.array([0.0, -2.1e-13, 38.6])),
+        ("zero-first-negative", np.array([0.0, -39.7, -1.13])),
         # |g_3| <= EPS * ||g_4:||: planerot's c = 0 branch.
-        ("tiny-ratio", with_entry(3, 0.5 * eps * np.linalg.norm(base[4:])), True),
-        ("above-1e12", with_entry(1, 2e12), True),
-        ("subnormal", with_entry(6, 5e-324), True),
-        ("nan", with_entry(0, np.nan), True),
-        ("negative-n1", np.array([-0.7]), False),
+        ("tiny-ratio", with_entry(3, 0.5 * eps * np.linalg.norm(base[4:]))),
+        # |g_k+1| <= EPS * |g_k| and the reverse, for one pair.
+        ("eps-ratio-pair", np.array([1.0, 0.5 * eps])),
+        ("eps-ratio-pair-reversed", np.array([-0.5 * eps, 1.0])),
+        ("eps-ratio-pair-equal", np.array([eps, 1.0])),
+        ("eps-ratio-pair-equal-reversed", np.array([1.0, eps])),
+        # Below sqrt(REALMIN): planerot's scaled branches.
+        ("below-sqrt-realmin", np.array([0.5 * tiny, -0.3 * tiny, 0.7 * tiny])),
+        ("below-sqrt-realmin-mixed", with_entry(4, 0.5 * tiny)),
+        ("above-1e12", with_entry(1, 2e12)),
+        ("above-1e12-tiny-rest", np.array([3e14, 1e-150, -2e-3, 5.0])),
+        ("above-1e300", with_entry(5, -1e300)),
+        ("subnormal", with_entry(6, 5e-324)),
+        ("nan", with_entry(0, np.nan)),
+        ("nan-last", with_entry(7, np.nan)),
+        ("inf", with_entry(3, np.inf)),
+        ("inf-and-1e300", np.array([0.0, 1e300, np.inf])),
+        ("inf-n1", np.array([-np.inf])),
+        ("negative-n1", np.array([-0.7])),
+        ("tiny-n1", np.array([1e-40])),
         # ||sdirn||**2 = 1/||g||**2 <= EPS * delta**2: trstlp returns d = 0.
-        ("large", base * 1e10, False),
+        ("large", base * 1e10),
     ]
 
 
@@ -111,7 +143,7 @@ class TestCobylaOptimizer:
     def _assert_same_run(self, kind, n, budget=60, rhobeg=0.5):
         x0 = np.full(n, 0.3)
         loss, scipy_points = self._objective(kind, n)
-        reference = sciopt.minimize(
+        reference = _scipy_minimize()(
             loss, x0, method="COBYLA", options={"maxiter": budget, "rhobeg": rhobeg}
         )
         loss, points = self._objective(kind, n)
@@ -131,7 +163,7 @@ class TestCobylaOptimizer:
     def test_matches_scipy_on_clipped_and_tied_losses(self, n, kind):
         # PRIMA clips values above FUNCMAX = 1e30 (so they tie) and keeps
         # the first of tied points; check_finite_loss lets both through.
-        pytest.importorskip("scipy._lib.pyprima")
+        minimize = _scipy_minimize()
         target = np.linspace(-1.0, 1.0, n)
         x0 = np.full(n, 0.3)
         reach = np.abs(x0 - target).sum()
@@ -151,25 +183,13 @@ class TestCobylaOptimizer:
             return loss, points
 
         loss, scipy_points = start()
-        reference = sciopt.minimize(
+        reference = minimize(
             loss, x0, method="COBYLA", options={"maxiter": 80, "rhobeg": 0.5}
         )
         loss, points = start()
         best = minimize_cobyla(loss, x0, max_iterations=80, rhobeg=0.5)
         assert best.tobytes() == reference.x.tobytes()
         assert [p.tobytes() for p in points] == [p.tobytes() for p in scipy_points]
-
-    def test_fallback_without_pyprima_is_scipy(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            for name in list(sys.modules):
-                if name.startswith("scipy._lib.pyprima"):
-                    patch.setitem(sys.modules, name, None)
-            patch.setitem(sys.modules, "scipy._lib.pyprima", None)
-            patch.delitem(sys.modules, "repro.baselines.cobyla", raising=False)
-            unconstrained = optimizer._unconstrained.__wrapped__()
-        assert unconstrained is None
-        monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
-        self._assert_same_run("noisy", 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_rejected(self, bad):
@@ -179,13 +199,11 @@ class TestCobylaOptimizer:
             minimize_cobyla(calls.append, np.array([0.1, bad, 0.2]))
         assert calls == []
 
-    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    @pytest.mark.parametrize("path", ["in-repo"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_loss_rejected(self, monkeypatch, path, bad):
+    def test_non_finite_loss_rejected(self, path, bad):
         # PRIMA would replace NaN and +inf by a large number and run on
         # -inf into NaN arithmetic, returning a meaningless point.
-        if path == "scipy":
-            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
         calls = []
 
         def loss(x):
@@ -200,12 +218,10 @@ class TestCobylaOptimizer:
                 minimize_cobyla(loss, np.zeros(3), max_iterations=30)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
+    @pytest.mark.parametrize("path", ["in-repo"])
     @pytest.mark.parametrize("bad", [0, -0.5, np.nan, np.inf])
-    def test_bad_rhobeg_rejected(self, monkeypatch, path, bad):
+    def test_bad_rhobeg_rejected(self, path, bad):
         # PRIMA would warn "Invalid RHOBEG" and optimise with 1 instead.
-        if path == "scipy":
-            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
         calls = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -220,7 +236,7 @@ class TestCobylaOptimizer:
     def test_zero_dimensional_start_matches_scipy(self):
         # scipy reads a 0-d x0 as a 1-vector; so does minimize_cobyla.
         loss, scipy_points = self._objective("quadratic", 1)
-        reference = sciopt.minimize(
+        reference = _scipy_minimize()(
             loss, np.array(0.3), method="COBYLA", options={"maxiter": 30, "rhobeg": 0.5}
         )
         loss, points = self._objective("quadratic", 1)
@@ -238,10 +254,11 @@ class TestCobylaOptimizer:
 
         from repro.baselines.cobyla import _trstlp_unconstrained
 
-        expected = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
-        d, fell_back = _trstlp_unconstrained(g, delta)
+        with np.errstate(all="ignore"):  # pyprima meets inf * 0 on a non-finite g
+            expected = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g.copy())
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            d = _trstlp_unconstrained(g, delta)
         assert d.tobytes() == expected.tobytes()
-        return fell_back
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e4, 1e8])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 40, 120, 130])
@@ -251,12 +268,53 @@ class TestCobylaOptimizer:
             self._assert_trstlp_matches(rng.normal(size=n) * scale, delta)
 
     @pytest.mark.parametrize(
-        "g, falls_back",
-        [pytest.param(g, fb, id=name) for name, g, fb in _trstlp_edge_cases()],
+        "g", [pytest.param(g, id=name) for name, g in _trstlp_edge_cases()]
     )
-    def test_trstlp_kernel_edge_input(self, g, falls_back):
-        for delta in (1e-4, 0.5):
-            assert self._assert_trstlp_matches(g, delta) is falls_back
+    def test_trstlp_kernel_edge_input(self, g):
+        for delta in (1e-4, 0.5, 1e-170):
+            self._assert_trstlp_matches(g, delta)
+
+    @pytest.mark.parametrize("rhobeg", [1e-8, 1e-6, 0.5, 10.0])
+    def test_preproc_rhoend_matches_pyprima(self, rhobeg):
+        """The ported ``rhoend`` adjustment gives pyprima's options and warning."""
+        pytest.importorskip("scipy._lib.pyprima")
+        from scipy._lib.pyprima.common.consts import (
+            CWEIGHT_DEFAULT,
+            ETA1_DEFAULT,
+            GAMMA1_DEFAULT,
+            GAMMA2_DEFAULT,
+            MAXFUN_DIM_DEFAULT,
+        )
+        from scipy._lib.pyprima.common.preproc import preproc
+
+        from repro.baselines.cobyla import RHOEND, _preproc_rhoend
+
+        num_vars, maxfun = 5, 40
+        eta2 = (ETA1_DEFAULT + 2) / 3
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            options = preproc(
+                "COBYLA", num_vars, 0, maxfun,
+                max(maxfun, num_vars + 2, MAXFUN_DIM_DEFAULT * num_vars),
+                -np.inf, rhobeg, RHOEND, num_constraints=0, maxfilt=2000,
+                ctol=np.sqrt(np.finfo(float).eps), cweight=CWEIGHT_DEFAULT,
+                eta1=ETA1_DEFAULT, eta2=eta2, gamma1=GAMMA1_DEFAULT,
+                gamma2=GAMMA2_DEFAULT, is_constrained=False,
+            )
+        with warnings.catch_warnings(record=True) as actual_warnings:
+            warnings.simplefilter("always")
+            rhoend = _preproc_rhoend(rhobeg, RHOEND)
+        _, maxfun_out, _, _, rhobeg_out, rhoend_out, *_ = options
+        eta1_out, eta2_out, gamma1_out, gamma2_out = options[10:14]
+        assert (maxfun_out, rhobeg_out) == (maxfun, rhobeg)
+        assert (eta1_out, eta2_out, gamma1_out, gamma2_out) == (
+            ETA1_DEFAULT, eta2, GAMMA1_DEFAULT, GAMMA2_DEFAULT
+        )
+        assert np.float64(rhoend).tobytes() == np.float64(rhoend_out).tobytes()
+        assert [str(w.message) for w in actual_warnings] == [
+            str(w.message) for w in expected_warnings
+        ]
+        assert bool(actual_warnings) is (rhobeg < RHOEND)
 
     @staticmethod
     def _assert_simplex_helper_matches(helper, **inputs):
@@ -351,7 +409,6 @@ class TestObjective:
     @staticmethod
     def _recording(x0):
         """An ``_Objective`` at ``x0`` whose loss records each argument."""
-        pytest.importorskip("scipy._lib.pyprima")
         from repro.baselines.cobyla import _Objective
 
         seen = []

@@ -172,21 +172,24 @@ class TestSolveSubcommand:
         assert after.backend == before.backend
 
 
+def _subprocess_env():
+    """This environment, with the tested ``repro`` first on ``PYTHONPATH``."""
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestServeSubcommand:
     def test_serve_answers_health_and_stops_cleanly_on_sigint(self):
-        import repro
-
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            env=env,
+            env=_subprocess_env(),
         )
         try:
             url = None
@@ -206,6 +209,37 @@ class TestServeSubcommand:
                 process.communicate()
         assert "service stopped" in rest
         assert process.returncode == 0
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+
+import repro.experiments.cli
+from repro.core.solver import RasenganConfig, RasenganSolver
+from repro.experiments.runner import run_algorithm
+from repro.problems.registry import make_benchmark
+
+problem = make_benchmark("F1", case=0)
+RasenganSolver(problem, config=RasenganConfig(shots=None, seed=0)).solve()
+for name in ("hea", "pqaoa"):
+    run_algorithm(name, problem, max_iterations=10, seed=0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestImportFootprint:
+    def test_cli_and_solves_never_import_scipy(self):
+        # SciPy serves only the verify references; importing it would
+        # cost every CLI, serve and execution process about 40 MB.
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestQuickRuns:

@@ -461,16 +461,12 @@ class TestSolverIntegration:
     @pytest.mark.parametrize(
         "budget, stop", [(12, "max_evaluations"), (500, "small_radius")]
     )
-    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
-    def test_cobyla_span_reports_evaluations_and_stop(
-        self, monkeypatch, path, budget, stop
-    ):
+    @pytest.mark.parametrize("path", ["in-repo"])
+    def test_cobyla_span_reports_evaluations_and_stop(self, path, budget, stop):
         import numpy as np
 
         from repro.baselines import optimizer
 
-        if path == "scipy":
-            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
         calls = []
 
         def loss(x):
@@ -484,17 +480,14 @@ class TestSolverIntegration:
         assert span.attributes["evaluations"] == len(calls)
         assert span.attributes["budget"] == budget
 
-    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
-    def test_cobyla_span_reports_loss_seconds(self, monkeypatch, path):
+    @pytest.mark.parametrize("path", ["in-repo"])
+    def test_cobyla_span_reports_loss_seconds(self, path):
         # Driver self time is the span's duration minus loss_s.
         import time
 
         import numpy as np
 
         from repro.baselines import optimizer
-
-        if path == "scipy":
-            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
 
         def loss(x):
             time.sleep(1e-4)
@@ -506,15 +499,12 @@ class TestSolverIntegration:
         loss_s = span.attributes["loss_s"]
         assert 0 < span.attributes["evaluations"] * 1e-4 <= loss_s <= span.duration
 
-    @pytest.mark.parametrize("path", ["in-repo", "scipy"])
-    def test_cobyla_observes_driver_seconds_once_per_call(self, monkeypatch, path):
+    @pytest.mark.parametrize("path", ["in-repo"])
+    def test_cobyla_observes_driver_seconds_once_per_call(self, path):
         # optimizer.driver_s is timed inside the span, less the loss.
         import numpy as np
 
         from repro.baselines import optimizer
-
-        if path == "scipy":
-            monkeypatch.setattr(optimizer, "_unconstrained", lambda: None)
 
         def loss(x):
             return float(((x - 0.25) ** 2).sum())
@@ -528,16 +518,17 @@ class TestSolverIntegration:
         assert driver.minimum > 0
         assert driver.total <= sum(s.duration - s.attributes["loss_s"] for s in spans)
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_cobyla_span_reports_trust_region_fallbacks(self, fallback):
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_cobyla_span_reports_trust_region_fallbacks(self, flat):
+        # No step falls back to a second kernel, so the span reports
+        # tr_steps and no tr_fallbacks, on flat gradients too.
         import numpy as np
 
         from repro.baselines import optimizer
 
-        pytest.importorskip("scipy._lib.pyprima")
-        if fallback:
-            # Flat in x[1:], so the simplex gradient has exact zeros, which
-            # pyprima's general trstlp serves.
+        if flat:
+            # Flat in x[1:], so the simplex gradient has exact zeros:
+            # planerot's zero branches, served by the same kernel.
             loss = lambda x: float((x[0] - 0.25) ** 2)
         else:
             target = np.array([0.3, -0.4, 0.7])
@@ -545,10 +536,8 @@ class TestSolverIntegration:
         with telemetry.session() as collector:
             optimizer.minimize_cobyla(loss, np.zeros(3), max_iterations=60)
         (span,) = [s for s in collector.iter_spans() if s.name == "optimizer.cobyla"]
-        steps = span.attributes["tr_steps"]
-        fallbacks = span.attributes["tr_fallbacks"]
-        assert steps > 0
-        assert 0 < fallbacks <= steps if fallback else fallbacks == 0
+        assert span.attributes["tr_steps"] > 0
+        assert "tr_fallbacks" not in span.attributes
         assert collector.counter("optimizer.evaluations") == span.attributes[
             "evaluations"
         ]
